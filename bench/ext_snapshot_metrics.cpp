@@ -13,6 +13,7 @@
 // the largest component grows.
 
 #include "common/figure_bench.hpp"
+#include "graph/link_model.hpp"
 #include "sim/mobile_trace.hpp"
 #include "sim/snapshot_stats.hpp"
 
@@ -46,8 +47,9 @@ int main(int argc, char** argv) {
   for (const auto& [label, range] : points) {
     Rng point_rng = rng.split();
     auto model = make_mobility_model<2>(mobility, region);
+    const UnitDiskLinkModel link(range);
     const auto stats =
-        collect_snapshot_stats<2>(n, region, scale.steps, range, *model, point_rng);
+        collect_snapshot_stats<2>(n, region, scale.steps, link, *model, point_rng);
     table.add_row({label, TextTable::num(range, 1),
                    TextTable::num(stats.mean_degree.mean(), 2),
                    TextTable::num(stats.min_degree.mean(), 2),

@@ -130,18 +130,6 @@ void bench_dimension(BenchReport& report, const std::vector<std::size_t>& sizes,
              [&](double* out) {
                kernels::batch_squared_distance<D>(axes_a, n, q.coords.data(), out);
              })},
-        {"torus_squared_distance",
-         time_kernel(
-             n, reps,
-             [&](double* out) {
-               for (std::size_t k = 0; k < n; ++k) {
-                 out[k] = kernels::torus_squared_distance_scalar<D>(a_aos[k].coords.data(),
-                                                                    q.coords.data(), side);
-               }
-             },
-             [&](double* out) {
-               kernels::batch_torus_squared_distance<D>(axes_a, n, q.coords.data(), side, out);
-             })},
         {"pair_distance",
          time_kernel(
              n, reps,

@@ -91,9 +91,8 @@ MtrmIterationOutcome run_mtrm_iteration(const MtrmConfig& config, Rng& iteration
   // Per-iteration workspace: the step loop reuses its grid/edge/curve
   // buffers across all `steps` EMST solves, and because every iteration
   // owns its workspace nothing is shared across worker threads. The trace
-  // runs the kinetic engine by default (MANET_KINETIC / kinetic_enabled());
-  // either engine yields bit-identical curves, so the golden MTRM checksums
-  // hold regardless of the selection.
+  // runs the kinetic engine, whose curves are bit-identical to per-step
+  // batch solves, so the golden MTRM checksums pin both.
   TraceWorkspace<D> workspace;
   const MobileConnectivityTrace trace = run_mobile_trace<D>(
       config.node_count, region, config.steps, *model, iteration_rng, &workspace);

@@ -77,8 +77,7 @@ PaperSimulatorOutput run_paper_simulator(const PaperSimulatorInput& input, Rng& 
         const auto model = make_mobility_model<D>(input.mobility, region);
         // Per-iteration workspace: buffer reuse across the step loop without
         // sharing anything between worker threads. The trace runs the
-        // kinetic engine by default (kinetic_enabled()); both engines are
-        // bit-identical, so the choice never shows in the report.
+        // kinetic engine, bit-identical to per-step batch solves.
         TraceWorkspace<D> workspace;
         const MobileConnectivityTrace trace = run_mobile_trace<D>(
             input.n, region, input.steps, *model, iteration_rng, &workspace);

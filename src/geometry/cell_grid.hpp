@@ -256,12 +256,12 @@ class CellGrid {
     return false;  // all-zero offset = own cell, handled separately
   }
 
-  /// Batched replacement of the old per-pair emit: squared distances of the
-  /// candidate in `candidate_slot` against the contiguous slot run
-  /// [run_begin, run_end) in one kernel call, then the in-radius filter in
-  /// run order. Every d2 is bit-identical to the scalar metric (the kernels
-  /// reproduce the scalar cores' per-axis operation sequence), and pairs are
-  /// emitted in the exact order the scalar double loop used.
+  /// Squared distances of the candidate in `candidate_slot` against the
+  /// contiguous slot run [run_begin, run_end) — one batched kernel call for
+  /// the Euclidean metric — then the in-radius filter in run order. Every d2
+  /// is bit-identical to the scalar metric (the kernel reproduces the scalar
+  /// core's per-axis operation sequence), and pairs are emitted in the exact
+  /// order the scalar double loop used.
   template <bool Wrap, typename Fn>
   void emit_run(std::size_t candidate_slot, std::size_t run_begin, std::size_t run_end,
                 double r2, Fn&& fn) const {
@@ -275,7 +275,13 @@ class CellGrid {
     }
     double* d2 = d2_scratch_.data();
     if constexpr (Wrap) {
-      kernels::batch_torus_squared_distance<D>(axes, count, q.data(), side_, d2);
+      // The torus metric has no batched kernel: run its scalar core per
+      // element (geometry/distance_kernels.hpp says why).
+      std::array<double, static_cast<std::size_t>(D)> p;
+      for (std::size_t k = 0; k < count; ++k) {
+        for (std::size_t i = 0; i < p.size(); ++i) p[i] = axes[i][k];
+        d2[k] = kernels::torus_squared_distance_scalar<D>(p.data(), q.data(), side_);
+      }
     } else {
       kernels::batch_squared_distance<D>(axes, count, q.data(), d2);
     }

@@ -4,9 +4,11 @@
 //
 // This header is the single source of truth for the library's two metrics:
 // `squared_distance` (point.hpp) and `torus_squared_distance` (torus.hpp)
-// both delegate to the scalar cores below, and every batched (one candidate
-// against a contiguous SoA run) kernel reproduces the scalar core's exact
-// floating-point operation sequence PER ELEMENT:
+// both delegate to the scalar cores below. The torus metric has no batched
+// form: its only grid caller, CellGrid's torus pair scan, serves the
+// stationary torus solver (torus_critical_range). Every batched Euclidean
+// (one candidate against a contiguous SoA run) kernel reproduces the scalar
+// core's exact floating-point operation sequence PER ELEMENT:
 //
 //   sum = 0; for each axis i in 0..D-1: d = a_i - b_i; sum += d * d
 //
@@ -18,8 +20,7 @@
 // used (it would change the rounding of d*d + sum), and the build compiles
 // with -ffp-contract=off so the compiler cannot introduce contractions
 // behind our back either (see DESIGN.md §15 for the full bit-identity
-// argument, including why andnot-abs and min_pd match std::abs/std::min
-// on this domain).
+// argument).
 //
 // This is the ONLY file in src/ allowed to include SIMD intrinsics headers
 // or query CPU features (enforced by the manet-lint `simd-confinement`
@@ -95,21 +96,6 @@ void batch_squared_distance_portable(const AxisPointers<D>& axes, std::size_t co
   }
 }
 
-/// out[k] = torus_squared_distance(axes[.][k], q, side) for k in [0, count).
-template <int D>
-void batch_torus_squared_distance_portable(const AxisPointers<D>& axes, std::size_t count,
-                                           const double* q, double side, double* out) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    out[k] = sum;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 batch kernels. Lane-wise translation of the scalar core: every lane
 // performs the identical scalar operation sequence, so results are bitwise
@@ -148,47 +134,6 @@ __attribute__((target("avx2"))) void batch_squared_distance_avx2(
   }
 }
 
-/// |x| via clearing the sign bit matches std::abs bit-for-bit on every
-/// non-NaN double; min_pd(side-d, d) picks d on ties exactly like
-/// std::min(d, side-d), and d == side-d never mixes +0/-0 here (d >= 0 and
-/// side > 0, so side-d == 0 only when d == side > 0).
-template <int D>
-__attribute__((target("avx2"))) void batch_torus_squared_distance_avx2(
-    const AxisPointers<D>& axes, std::size_t count, const double* q, double side,
-    double* out) noexcept {
-  const __m256d q0 = _mm256_set1_pd(q[0]);
-  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
-  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d side_v = _mm256_set1_pd(side);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0));
-    d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(out + k, sum);
-  }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    out[k] = sum;
-  }
-}
-
 #endif  // MANET_KERNELS_X86
 
 // ---------------------------------------------------------------------------
@@ -219,20 +164,6 @@ inline void batch_squared_distance(const AxisPointers<D>& axes, std::size_t coun
   }
 #endif
   batch_squared_distance_portable<D>(axes, count, q, out);
-}
-
-/// out[k] = torus_squared_distance(axes[.][k], q, side); bit-identical to the
-/// scalar core.
-template <int D>
-inline void batch_torus_squared_distance(const AxisPointers<D>& axes, std::size_t count,
-                                         const double* q, double side, double* out) noexcept {
-#if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    batch_torus_squared_distance_avx2<D>(axes, count, q, side, out);
-    return;
-  }
-#endif
-  batch_torus_squared_distance_portable<D>(axes, count, q, side, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,14 +114,12 @@ class MobileConnectivityTrace {
 /// and of every subsequent step (`steps` curves in total; steps = 1 is the
 /// stationary case). Requires steps >= 1.
 ///
-/// The per-step curves are computed through `workspace` by one of two
-/// bit-identical engines: the kinetic engine (topology/emst_kinetic.hpp,
-/// incremental repair exploiting temporal coherence — the default) or the
-/// batch EMST engine (full solve per step). `engine` selects explicitly;
-/// TraceEngine::kAuto defers to the process-wide kinetic_enabled() switch
-/// (MANET_KINETIC, default on). The choice can never change a result — the
-/// kinetic engine's repair invariant makes every step's tree bit-identical
-/// to the batch solve — only how fast the trace runs.
+/// The per-step curves are computed through `workspace` by the kinetic EMST
+/// engine (topology/emst_kinetic.hpp): a full build on the deployment, then
+/// an incremental repair per mobility step exploiting temporal coherence.
+/// Its repair invariant makes every step's tree bit-identical to a
+/// from-scratch batch EmstEngine solve, which tests/kinetic_differential_test
+/// checks against exactly that reference.
 ///
 /// Pass a workspace to reuse its buffers across multiple traces — e.g. a
 /// bench sweeping iterations serially — or leave it null for a per-call one.
@@ -130,30 +128,24 @@ class MobileConnectivityTrace {
 template <int D>
 MobileConnectivityTrace run_mobile_trace(std::size_t n, const Box<D>& box, std::size_t steps,
                                          MobilityModel<D>& model, Rng& rng,
-                                         TraceWorkspace<D>* workspace = nullptr,
-                                         TraceEngine engine = TraceEngine::kAuto) {
+                                         TraceWorkspace<D>* workspace = nullptr) {
   MANET_EXPECTS(steps >= 1);
   TraceWorkspace<D> local_workspace;
   TraceWorkspace<D>& ws = workspace != nullptr ? *workspace : local_workspace;
-  const bool kinetic = engine == TraceEngine::kKinetic ||
-                       (engine == TraceEngine::kAuto && kinetic_enabled());
   uniform_deployment(n, box, rng, ws.positions);
   std::vector<Point<D>>& positions = ws.positions;
   model.initialize(positions, rng);
 
   std::vector<LargestComponentCurve> curves;
   curves.reserve(steps);
-  curves.push_back(kinetic ? kinetic_component_curve<D>(positions, box, ws, /*first_step=*/true)
-                           : largest_component_curve<D>(positions, box, ws));
+  curves.push_back(kinetic_component_curve<D>(positions, box, ws, /*first_step=*/true));
   for (std::size_t s = 1; s < steps; ++s) {
     model.step(positions, rng);
     // Whatever the model did, the trace must stay inside the deployment
     // region: every downstream occupancy / connectivity argument assumes it.
     MANET_INVARIANT(std::all_of(positions.begin(), positions.end(),
                                 [&box](const Point<D>& p) { return box.contains(p); }));
-    curves.push_back(kinetic
-                         ? kinetic_component_curve<D>(positions, box, ws, /*first_step=*/false)
-                         : largest_component_curve<D>(positions, box, ws));
+    curves.push_back(kinetic_component_curve<D>(positions, box, ws, /*first_step=*/false));
   }
   return MobileConnectivityTrace(n, std::move(curves), ws.merge_events);
 }

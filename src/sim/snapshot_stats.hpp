@@ -138,17 +138,4 @@ SnapshotAggregate collect_snapshot_stats(std::size_t node_count, const Box<D>& r
   return aggregate;
 }
 
-/// Unit-disk convenience overload (the historical signature): statistics at
-/// common transmitting range `range`. Throws ConfigError unless steps >= 1,
-/// range > 0 (via UnitDiskLinkModel) and node_count >= 1. Bit-identical to
-/// the LinkModel overload under UnitDiskLinkModel(range) — it *is* that
-/// call.
-template <int D>
-SnapshotAggregate collect_snapshot_stats(std::size_t node_count, const Box<D>& region,
-                                         std::size_t steps, double range,
-                                         MobilityModel<D>& model, Rng& rng) {
-  const UnitDiskLinkModel link(range);
-  return collect_snapshot_stats<D>(node_count, region, steps, link, model, rng);
-}
-
 }  // namespace manet

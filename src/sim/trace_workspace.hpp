@@ -8,7 +8,6 @@
 #include "geometry/point.hpp"
 #include "graph/union_find.hpp"
 #include "topology/critical_range.hpp"
-#include "topology/emst_grid.hpp"
 #include "topology/emst_kinetic.hpp"
 
 namespace manet {
@@ -30,24 +29,20 @@ struct CurveMergeEvent {
 /// union-find and curve per step.
 ///
 /// Reuse contract:
-///   - reused across calls: the EMST engines' cell grids, candidate-edge and
-///     tree buffers, the union-find, the breakpoint scratch, and the
+///   - reused across calls: the kinetic engine's cell grid, candidate-edge
+///     and tree buffers, the union-find, the breakpoint scratch, and the
 ///     mean-curve merge-event buffer (capacity only);
-///   - the BATCH engine carries no information between steps: every buffer
-///     is cleared/overwritten before being read, so a step's result is a
-///     pure function of that step's positions;
-///   - the KINETIC engine deliberately carries its candidate set, cell grid
+///   - the kinetic engine deliberately carries its candidate set, cell grid
 ///     and previous positions between the steps of one trace — that reuse is
 ///     the speedup — but its repair invariant makes every step's output
 ///     provably bit-identical to a from-scratch batch solve
-///     (topology/emst_kinetic.hpp), so results still never depend on which
-///     engine ran or on prior traces (start() re-baselines everything);
+///     (topology/emst_kinetic.hpp), so results never depend on prior steps
+///     or prior traces (start() re-baselines everything);
 ///   - threading: a workspace is single-threaded state. The parallel MTRM
 ///     engine gives each iteration its own workspace (core/mtrm.hpp); never
 ///     share one across concurrent traces.
 template <int D>
 struct TraceWorkspace {
-  EmstEngine<D> emst;
   KineticEmstEngine<D> kinetic;
   UnionFind dsu{0};
   std::vector<LargestComponentCurve::Breakpoint> breakpoints;
@@ -59,21 +54,10 @@ struct TraceWorkspace {
   std::vector<Point<D>> positions;
 };
 
-/// Grid-accelerated component curve of `points` (inside `box`) using pooled
-/// workspace buffers: the hot-path form of largest_component_curve. The
-/// returned curve is bit-identical to the dense builder's.
-template <int D>
-LargestComponentCurve largest_component_curve(std::span<const Point<D>> points,
-                                              const Box<D>& box, TraceWorkspace<D>& workspace) {
-  const auto edges = workspace.emst.euclidean(points, box);
-  return LargestComponentCurve(points.size(), edges, workspace.dsu, workspace.breakpoints);
-}
-
-/// Kinetic-engine form of the step curve: `first_step` starts a new trace
-/// (full build + re-baseline), subsequent calls repair incrementally. The
-/// returned curve is bit-identical to largest_component_curve's
-/// (topology/emst_kinetic.hpp explains why); run_mobile_trace selects
-/// between the two per the TraceEngine policy.
+/// Component curve of one trace step through the workspace's kinetic engine:
+/// `first_step` starts a new trace (full build + re-baseline), subsequent
+/// calls repair incrementally. The returned curve is bit-identical to
+/// largest_component_curve's (topology/emst_kinetic.hpp explains why).
 template <int D>
 LargestComponentCurve kinetic_component_curve(std::span<const Point<D>> points,
                                               const Box<D>& box, TraceWorkspace<D>& workspace,

@@ -123,9 +123,9 @@ LargestComponentCurve largest_component_curve(std::span<const Point<D>> points) 
 }
 
 /// Grid-accelerated builder for points inside `box`: same curve, bit for
-/// bit, at expected O(n log n). The hot loop of the mobile simulator uses
-/// the workspace form in sim/trace_workspace.hpp instead, which also reuses
-/// the engine's buffers across steps.
+/// bit, at expected O(n log n). The mobile simulator's step loop uses the
+/// kinetic form in sim/trace_workspace.hpp instead, which repairs one step's
+/// tree into the next.
 template <int D>
 LargestComponentCurve largest_component_curve(std::span<const Point<D>> points,
                                               const Box<D>& box) {

@@ -119,21 +119,4 @@ class EmstEngine {
   EmstGridStats stats_;
 };
 
-/// One-shot convenience: grid-accelerated EMST without managing an engine.
-template <int D>
-std::vector<WeightedEdge> grid_euclidean_mst(std::span<const Point<D>> points,
-                                             const Box<D>& box) {
-  EmstEngine<D> engine;
-  const auto edges = engine.euclidean(points, box);
-  return {edges.begin(), edges.end()};
-}
-
-/// One-shot convenience: grid-accelerated torus-metric MST.
-template <int D>
-std::vector<WeightedEdge> grid_torus_mst(std::span<const Point<D>> points, double side) {
-  EmstEngine<D> engine;
-  const auto edges = engine.torus(points, side);
-  return {edges.begin(), edges.end()};
-}
-
 }  // namespace manet

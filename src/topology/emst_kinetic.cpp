@@ -1,12 +1,9 @@
 #include "topology/emst_kinetic.hpp"
 
 #include <algorithm>
-// manet-lint: allow(thread-confinement) — for the engine-selection flag below; see its comment
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
+#include <limits>
 
 #include "support/contracts.hpp"
 #include "support/error.hpp"
@@ -34,20 +31,6 @@ KineticMetrics& kinetic_metrics() {
   return bundle;
 }
 
-bool environment_kinetic_default() {
-  const char* text = std::getenv("MANET_KINETIC");
-  if (text == nullptr || *text == '\0') return true;
-  const std::string_view value(text);
-  return !(value == "0" || value == "off" || value == "OFF" || value == "false" ||
-           value == "FALSE");
-}
-
-/// -1 = defer to MANET_KINETIC, 0 = forced off, 1 = forced on. Atomic only
-/// so concurrent trace workers can read the selection without a data race;
-/// the value never feeds a result (both engines are bit-identical).
-// manet-lint: allow(thread-confinement) — engine-selection flag read concurrently by trace workers; it selects between two bit-identical engines and never influences any computed value
-std::atomic<int> g_kinetic_mode{-1};
-
 bool candidate_less(double a_d2, std::uint32_t a_u, std::uint32_t a_v, double b_d2,
                     std::uint32_t b_u, std::uint32_t b_v) noexcept {
   if (a_d2 != b_d2) return a_d2 < b_d2;
@@ -56,20 +39,6 @@ bool candidate_less(double a_d2, std::uint32_t a_u, std::uint32_t a_v, double b_
 }
 
 }  // namespace
-
-bool kinetic_enabled() noexcept {
-  const int mode = g_kinetic_mode.load(std::memory_order_relaxed);
-  if (mode >= 0) return mode != 0;
-  static const bool from_environment = environment_kinetic_default();
-  return from_environment;
-}
-
-void set_kinetic_mode(KineticMode mode) noexcept {
-  int value = -1;
-  if (mode == KineticMode::kForceOn) value = 1;
-  if (mode == KineticMode::kForceOff) value = 0;
-  g_kinetic_mode.store(value, std::memory_order_relaxed);
-}
 
 template <int D>
 std::array<std::size_t, D> KineticEmstEngine<D>::cell_coords(
@@ -164,27 +133,19 @@ void KineticEmstEngine<D>::build_cell_snapshot() {
 }
 
 template <int D>
-template <bool Torus>
 void KineticEmstEngine<D>::emit_mover_run(std::uint32_t i, const double* q,
-                                          std::size_t run_begin, std::size_t run_end,
-                                          bool direct_index) {
+                                          std::size_t run_begin, std::size_t run_end) {
   const std::size_t count = run_end - run_begin;
   if (count == 0) return;
   kernels::AxisPointers<D> axes;
-  const PointStore<D>& coords = direct_index ? cur_ : snap_;
   for (int a = 0; a < D; ++a) {
-    axes[static_cast<std::size_t>(a)] = coords.axis(a) + run_begin;
+    axes[static_cast<std::size_t>(a)] = snap_.axis(a) + run_begin;
   }
   double* d2 = near_d2_.data();
-  if constexpr (Torus) {
-    kernels::batch_torus_squared_distance<D>(axes, count, q, side_, d2);
-  } else {
-    kernels::batch_squared_distance<D>(axes, count, q, d2);
-  }
-  const std::uint32_t* ids = direct_index ? nullptr : cell_ids_.data() + run_begin;
+  kernels::batch_squared_distance<D>(axes, count, q, d2);
+  const std::uint32_t* ids = cell_ids_.data() + run_begin;
   for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t j =
-        ids != nullptr ? ids[k] : static_cast<std::uint32_t>(run_begin + k);
+    const std::uint32_t j = ids[k];
     if (j == i) continue;
     // Both endpoints moved: emit once, from the smaller id (the larger-id
     // mover skips the pair).
@@ -195,58 +156,35 @@ void KineticEmstEngine<D>::emit_mover_run(std::uint32_t i, const double* q,
 }
 
 template <int D>
-template <bool Torus>
 void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
   const int w = near_window_;
   std::array<double, static_cast<std::size_t>(D)> q;
   for (int a = 0; a < D; ++a) q[static_cast<std::size_t>(a)] = cur_.axis(a)[i];
 
-  if (Torus && cells_per_axis_ < static_cast<std::size_t>(2 * w + 1)) {
-    // Wrapped +-w offsets alias below 2w+1 cells per axis (the same
-    // breakdown CellGrid's torus fallback handles): batch over all nodes in
-    // index order, straight from cur_.
-    emit_mover_run<Torus>(i, q.data(), 0, n_, /*direct_index=*/true);
-    return;
-  }
-
   // Axis 0 is the least-significant digit of the flat cell index, so the
   // 2w+1 window cells of one axis-0 row are contiguous both in flat index
   // and (via cell_start_) in CSR slots: each row becomes one batched kernel
-  // run instead of per-cell, per-pair scalar work. Higher axes step by the
-  // usual odometer. A torus wrap splits a row into at most two runs
-  // (2w+1 <= cells_per_axis here, so lo/hi cannot both overflow).
+  // run instead of per-cell, per-pair scalar work. The row's axis-0 extent,
+  // clipped to the grid, is the same in every row. Higher axes step by the
+  // usual odometer.
   const auto center = cell_coords(cur_.get(i));
   const auto cells = static_cast<long long>(cells_per_axis_);
+  const auto row_begin =
+      static_cast<std::size_t>(std::max<long long>(static_cast<long long>(center[0]) - w, 0));
+  const auto row_end = static_cast<std::size_t>(
+      std::min<long long>(static_cast<long long>(center[0]) + w, cells - 1) + 1);
   const auto row_base_of = [this](const std::array<std::size_t, D>& c) {
     std::size_t idx = 0;
     for (int a = D - 1; a >= 1; --a) idx = idx * cells_per_axis_ + c[static_cast<std::size_t>(a)];
     return idx * cells_per_axis_;
   };
-  const auto scan_row = [this, i, &q, cells](std::size_t row_base, long long lo,
-                                             long long hi) {
-    if constexpr (Torus) {
-      if (lo < 0) {
-        emit_mover_run<Torus>(i, q.data(), cell_start_[row_base + static_cast<std::size_t>(lo + cells)],
-                              cell_start_[row_base + static_cast<std::size_t>(cells)], false);
-        lo = 0;
-      } else if (hi >= cells) {
-        emit_mover_run<Torus>(i, q.data(), cell_start_[row_base],
-                              cell_start_[row_base + static_cast<std::size_t>(hi - cells + 1)],
-                              false);
-        hi = cells - 1;
-      }
-    } else {
-      lo = std::max<long long>(lo, 0);
-      hi = std::min<long long>(hi, cells - 1);
-    }
-    emit_mover_run<Torus>(i, q.data(), cell_start_[row_base + static_cast<std::size_t>(lo)],
-                          cell_start_[row_base + static_cast<std::size_t>(hi + 1)], false);
+  const auto scan_row = [this, i, &q, row_begin, row_end](std::size_t row_base) {
+    emit_mover_run(i, q.data(), cell_start_[row_base + row_begin],
+                   cell_start_[row_base + row_end]);
   };
 
-  const long long lo0 = static_cast<long long>(center[0]) - w;
-  const long long hi0 = static_cast<long long>(center[0]) + w;
   if constexpr (D == 1) {
-    scan_row(0, lo0, hi0);
+    scan_row(0);
     return;
   } else {
     // Odometer over axes 1..D-1 offsets in [-w, w].
@@ -256,20 +194,15 @@ void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
       std::array<std::size_t, D> other{};
       bool in_grid = true;
       for (int a = 1; a < D; ++a) {
-        auto shifted = static_cast<long long>(center[static_cast<std::size_t>(a)]) +
-                       offset[static_cast<std::size_t>(a)];
-        if constexpr (Torus) {
-          if (shifted < 0) shifted += cells;
-          if (shifted >= cells) shifted -= cells;
-        } else {
-          if (shifted < 0 || shifted >= cells) {
-            in_grid = false;
-            break;
-          }
+        const auto shifted = static_cast<long long>(center[static_cast<std::size_t>(a)]) +
+                             offset[static_cast<std::size_t>(a)];
+        if (shifted < 0 || shifted >= cells) {
+          in_grid = false;
+          break;
         }
         other[static_cast<std::size_t>(a)] = static_cast<std::size_t>(shifted);
       }
-      if (in_grid) scan_row(row_base_of(other), lo0, hi0);
+      if (in_grid) scan_row(row_base_of(other));
       int axis = 1;
       while (axis < D) {
         if (++offset[static_cast<std::size_t>(axis)] <= w) break;
@@ -376,12 +309,11 @@ bool KineticEmstEngine<D>::run_kruskal() {
 }
 
 template <int D>
-template <bool Torus>
 void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
                                         double start_radius) {
   ++stats_.full_rebuilds;
   kinetic_metrics().rebuilds.increment();
-  const double r_max = (Torus ? 0.5 : 1.0) * side_ * std::sqrt(static_cast<double>(D));
+  const double r_max = side_ * std::sqrt(static_cast<double>(D));
   MANET_EXPECTS(start_radius > 0.0);
   double radius = std::min(start_radius, r_max);
   const Box<D> box(side_);
@@ -392,11 +324,7 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
     const auto collect = [this](std::size_t i, std::size_t j, double d2) {
       edges_.push_back({d2, static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
     };
-    if constexpr (Torus) {
-      grid_.for_each_torus_pair_within(radius, collect);
-    } else {
-      grid_.for_each_pair_within(radius, collect);
-    }
+    grid_.for_each_pair_within(radius, collect);
     sort_candidates(edges_, radius * radius);
     if (run_kruskal()) break;
     MANET_INVARIANT(radius < r_max);  // the complete graph always spans
@@ -433,7 +361,6 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
 }
 
 template <int D>
-template <bool Torus>
 void KineticEmstEngine<D>::maybe_shrink(std::span<const Point<D>> points) {
   // When the maintained radius sits above the bottleneck's snug margin for a
   // sustained stretch (after a growth spike, an initial radius sized for a
@@ -466,17 +393,15 @@ void KineticEmstEngine<D>::maybe_shrink(std::span<const Point<D>> points) {
 }
 
 template <int D>
-template <bool Torus>
-std::span<const WeightedEdge> KineticEmstEngine<D>::start_impl(
-    std::span<const Point<D>> points, double side) {
-  MANET_EXPECTS(side > 0.0);
+std::span<const WeightedEdge> KineticEmstEngine<D>::start(std::span<const Point<D>> points,
+                                                          const Box<D>& box) {
+  MANET_EXPECTS(box.side() > 0.0);
   if (points.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw ConfigError("KineticEmstEngine: more than 2^32 points are not supported");
   }
   kinetic_metrics().traces.increment();
   started_ = true;
-  torus_ = Torus;
-  side_ = side;
+  side_ = box.side();
   n_ = points.size();
   stats_ = {};
   shrink_streak_ = 0;
@@ -489,27 +414,24 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::start_impl(
     // no grid work to repair, and running the identical code path is what
     // makes dense results trivially bit-identical.
     kinetic_metrics().dense.increment();
-    const Box<D> box(side_);
-    return Torus ? batch_.torus(points, side_) : batch_.euclidean(points, box);
+    return batch_.euclidean(points, box);
   }
 
   moved_.clear();
   moved_flag_.assign(n_, 0);
-  full_rebuild<Torus>(points, r0);
+  full_rebuild(points, r0);
   return mst_;
 }
 
 template <int D>
-template <bool Torus>
-std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
+std::span<const WeightedEdge> KineticEmstEngine<D>::advance(
     std::span<const Point<D>> points) {
+  MANET_EXPECTS(started_);
+  MANET_EXPECTS(points.size() == n_);
   ++stats_.steps;
   kinetic_metrics().steps.increment();
 
-  if (dense_mode_) {
-    const Box<D> box(side_);
-    return Torus ? batch_.torus(points, side_) : batch_.euclidean(points, box);
-  }
+  if (dense_mode_) return batch_.euclidean(points, Box<D>(side_));
 
   // Pass 1: exact moved-node detection against the previous step. The AoS
   // input is gathered into the cur_ SoA store once; the vectorized
@@ -551,8 +473,8 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
     // grid reconstruction and no radius search. (No flag reset needed: pass
     // 1 rewrites every moved_flag_ entry next step.)
     ++stats_.mass_move_rebuilds;
-    full_rebuild<Torus>(points, radius_);
-    maybe_shrink<Torus>(points);
+    full_rebuild(points, radius_);
+    maybe_shrink(points);
     return mst_;
   }
 
@@ -570,7 +492,7 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   // the pool must regain. Pairs of two moved nodes are emitted once, from
   // the smaller id.
   changed_.clear();
-  for (const std::uint32_t i : moved_) scan_mover<Torus>(i);
+  for (const std::uint32_t i : moved_) scan_mover(i);
   stats_.last_delta = changed_.size();
 
   // Pass 4: sort the delta, then merge it with the surviving pool entries,
@@ -630,30 +552,10 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   } else {
     ++stats_.radius_growths;
     kinetic_metrics().growths.increment();
-    full_rebuild<Torus>(points, radius_ * 2.0);
+    full_rebuild(points, radius_ * 2.0);
   }
-  maybe_shrink<Torus>(points);
+  maybe_shrink(points);
   return mst_;
-}
-
-template <int D>
-std::span<const WeightedEdge> KineticEmstEngine<D>::start(std::span<const Point<D>> points,
-                                                          const Box<D>& box) {
-  return start_impl<false>(points, box.side());
-}
-
-template <int D>
-std::span<const WeightedEdge> KineticEmstEngine<D>::start_torus(
-    std::span<const Point<D>> points, double side) {
-  return start_impl<true>(points, side);
-}
-
-template <int D>
-std::span<const WeightedEdge> KineticEmstEngine<D>::advance(
-    std::span<const Point<D>> points) {
-  MANET_EXPECTS(started_);
-  MANET_EXPECTS(points.size() == n_);
-  return torus_ ? advance_impl<true>(points) : advance_impl<false>(points);
 }
 
 template class KineticEmstEngine<1>;

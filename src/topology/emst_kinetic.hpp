@@ -11,7 +11,6 @@
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
 #include "geometry/point_store.hpp"
-#include "geometry/torus.hpp"
 #include "topology/emst_grid.hpp"
 #include "topology/mst.hpp"
 
@@ -35,30 +34,9 @@ struct KineticStats {
   bool dense_mode = false;             ///< trace is served by the embedded batch engine
 };
 
-/// Selects which engine run_mobile_trace drives (sim/mobile_trace.hpp).
-/// kAuto defers to the process-wide kinetic_enabled() switch; the explicit
-/// values exist so the differential tests can force either path regardless
-/// of the environment.
-enum class TraceEngine { kAuto, kBatch, kKinetic };
-
-/// Overrides for kinetic_enabled(); kFromEnvironment (the default) re-reads
-/// the MANET_KINETIC decision.
-enum class KineticMode { kFromEnvironment, kForceOn, kForceOff };
-
-/// True when mobile traces should run the kinetic engine. Defaults to ON;
-/// the MANET_KINETIC environment variable (read once: "0"/"off"/"false"
-/// disables) and set_kinetic_mode override it. Because the kinetic engine is
-/// bit-identical to the batch engine, this switch can never change a result
-/// — only how fast it is computed.
-bool kinetic_enabled() noexcept;
-
-/// Programmatic override for tests and benches. Call it from a single thread
-/// while no traces are running (the switch is engine *selection*, consulted
-/// once per trace).
-void set_kinetic_mode(KineticMode mode) noexcept;
-
-/// Kinetic (incremental) Euclidean/torus MST engine for mobile traces: the
-/// temporal-coherence counterpart of the batch EmstEngine. A mobility step
+/// Kinetic (incremental) Euclidean MST engine for mobile traces: the
+/// temporal-coherence counterpart of the batch EmstEngine, and the only
+/// engine run_mobile_trace drives (sim/mobile_trace.hpp). A mobility step
 /// moves each node by at most m (drunkard) or v_max*dt (waypoint), so
 /// between consecutive steps almost all cell-grid bins and almost all
 /// candidate edges are unchanged; the engine repairs both instead of
@@ -95,8 +73,7 @@ void set_kinetic_mode(KineticMode mode) noexcept;
 /// accepts a *unique* spanning tree, and any candidate set that contains all
 /// pairs within a spanning radius yields that same tree (every full-MST edge
 /// weighs at most the bottleneck <= R). Both engines compute distances with
-/// the identical squared_distance / torus_squared_distance + covering_radius
-/// arithmetic, so the kinetic tree — edges, order, and weight bits — equals
+/// the identical squared_distance + covering_radius arithmetic, so the kinetic tree — edges, order, and weight bits — equals
 /// the batch tree on every step, and everything derived from it (bottleneck,
 /// weight multiset, breakpoint curves, MTRM checksums) is bit-identical.
 /// tests/kinetic_differential_test.cpp pins this, including the PR 2/4
@@ -122,12 +99,9 @@ class KineticEmstEngine {
   /// n <= 1), valid until the next call on this engine.
   std::span<const WeightedEdge> start(std::span<const Point<D>> points, const Box<D>& box);
 
-  /// Begins a trace under the flat-torus metric on [0, side]^D.
-  std::span<const WeightedEdge> start_torus(std::span<const Point<D>> points, double side);
-
   /// Advances the current trace one mobility step: `points` are the same
   /// nodes at their new positions (same size, same region). Same return
-  /// contract as start(). Requires a preceding start()/start_torus().
+  /// contract as start(). Requires a preceding start().
   std::span<const WeightedEdge> advance(std::span<const Point<D>> points);
 
   const KineticStats& stats() const noexcept { return stats_; }
@@ -163,14 +137,9 @@ class KineticEmstEngine {
   /// Below this size the comparator sort beats the radix passes' fixed costs.
   static constexpr std::size_t kRadixCutoff = 64;
 
-  template <bool Torus>
-  std::span<const WeightedEdge> start_impl(std::span<const Point<D>> points, double side);
-  template <bool Torus>
-  std::span<const WeightedEdge> advance_impl(std::span<const Point<D>> points);
   /// Batch-style rebuild: enumerate + sort + Kruskal at a doubling radius
   /// starting from `start_radius`, then rebuild the kinetic cell grid and
   /// re-baseline the prev_ position store.
-  template <bool Torus>
   void full_rebuild(std::span<const Point<D>> points, double start_radius);
   /// Kruskal over the (sorted) candidate set; true when the tree spans.
   bool run_kruskal();
@@ -181,7 +150,6 @@ class KineticEmstEngine {
   /// the pooled radix_tmp_ scratch buffer.
   void sort_candidates(std::vector<Candidate>& a, double d2_bound);
   /// Applies the post-step radius hysteresis; may trigger a shrink rebuild.
-  template <bool Torus>
   void maybe_shrink(std::span<const Point<D>> points);
 
   // -- cell binning over the *current* positions ---------------------------
@@ -197,25 +165,19 @@ class KineticEmstEngine {
   /// cell, where w = near_window_ satisfies w * cell_size_ >= radius_, is a
   /// superset of i's radius ball. Axis 0 is the least-significant digit of
   /// the flat cell index, so each axis-0 row of the window is ONE contiguous
-  /// CSR slot run (two after a torus wrap split): the squared distances of a
-  /// whole run are computed by one batched kernel call over the snap_ SoA
-  /// snapshot, then filtered in slot order. Torus grids too coarse for
-  /// wrap-distinct neighbor cells (cells_per_axis < 2w+1) batch over all
-  /// nodes instead. Cells are sized ~radius/2 (w = 2) when the region
+  /// CSR slot run: the squared distances of a whole run are computed by one
+  /// batched kernel call over the snap_ SoA snapshot, then filtered in slot
+  /// order. Cells are sized ~radius/2 (w = 2) when the region
   /// allows, which over-scans ~(2.5/3)^D less area than radius-sized cells.
-  template <bool Torus>
   void scan_mover(std::uint32_t i);
   /// One batched kernel call + in-radius filter over the slot run
   /// [run_begin, run_end): candidate i (coordinates `q`) against
-  /// snap_/cell_ids_, or against cur_ directly (ids = identity) when
-  /// `direct_index` — the torus all-scan fallback.
-  template <bool Torus>
+  /// snap_/cell_ids_.
   void emit_mover_run(std::uint32_t i, const double* q, std::size_t run_begin,
-                      std::size_t run_end, bool direct_index);
+                      std::size_t run_end);
 
   // Trace configuration.
   bool started_ = false;
-  bool torus_ = false;
   bool dense_mode_ = false;
   double side_ = 0.0;
   std::size_t n_ = 0;

@@ -4,8 +4,8 @@
 // floating-point operation sequence, on whichever path (portable loop or
 // AVX2) the dispatcher picks at runtime. These tests pin that claim
 // bitwise — EXPECT_EQ on doubles here means "same 64 bits", not "close" —
-// across D in {1, 2, 3}, randomized coordinates, torus seam cases, exact
-// duplicates, and odd batch lengths that exercise the vector tails.
+// across D in {1, 2, 3}, randomized coordinates, exact duplicates, and odd
+// batch lengths that exercise the vector tails.
 
 #include "geometry/distance_kernels.hpp"
 
@@ -77,48 +77,6 @@ void check_squared_distance() {
 TEST(BatchSquaredDistance, BitIdenticalToScalar1D) { check_squared_distance<1>(); }
 TEST(BatchSquaredDistance, BitIdenticalToScalar2D) { check_squared_distance<2>(); }
 TEST(BatchSquaredDistance, BitIdenticalToScalar3D) { check_squared_distance<3>(); }
-
-// ----- batch_torus_squared_distance ---------------------------------------
-
-template <int D>
-void check_torus_squared_distance() {
-  Rng rng(777u + static_cast<std::uint64_t>(D));
-  const double side = 10.0;
-  for (const std::size_t n : kCounts) {
-    PointStore<D> store = random_store<D>(n, 0.0, side, rng);
-    Point<D> q;
-    for (int i = 0; i < D; ++i) q.coords[static_cast<std::size_t>(i)] = rng.uniform(0.0, side);
-    // Seam cases: a duplicate of q, a point hugging the far edge (wraps), and
-    // the antipode (|d| == side - |d| tie, where min must pick the second
-    // operand exactly like std::min).
-    if (n >= 1) store.set(0, q);
-    if (n >= 3) {
-      Point<D> far = q;
-      far.coords[0] = side - 1e-9;
-      store.set(2, far);
-      Point<D> antipode = q;
-      antipode.coords[0] = q.coords[0] < side / 2 ? q.coords[0] + side / 2
-                                                  : q.coords[0] - side / 2;
-      store.set(3 % n, antipode);
-    }
-
-    std::vector<double> dispatched(n), portable(n);
-    kernels::batch_torus_squared_distance<D>(store.axes(), n, q.coords.data(), side,
-                                             dispatched.data());
-    kernels::batch_torus_squared_distance_portable<D>(store.axes(), n, q.coords.data(), side,
-                                                      portable.data());
-    for (std::size_t k = 0; k < n; ++k) {
-      const double scalar = torus_squared_distance(store.get(k), q, side);
-      EXPECT_TRUE(bits_equal(dispatched[k], scalar)) << "D=" << D << " n=" << n << " k=" << k;
-      EXPECT_TRUE(bits_equal(dispatched[k], portable[k]))
-          << "dispatch vs portable, D=" << D << " n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(BatchTorusSquaredDistance, BitIdenticalToScalar1D) { check_torus_squared_distance<1>(); }
-TEST(BatchTorusSquaredDistance, BitIdenticalToScalar2D) { check_torus_squared_distance<2>(); }
-TEST(BatchTorusSquaredDistance, BitIdenticalToScalar3D) { check_torus_squared_distance<3>(); }
 
 // ----- batch_tuple_not_equal ----------------------------------------------
 

@@ -342,7 +342,7 @@ TEST(EmstGrid, WorkspaceCurveBuilderMatchesLegacyBuilder) {
     const auto points = uniform_deployment(n, box, rng);
     const auto legacy = largest_component_curve<2>(points);
     const auto one_shot = largest_component_curve<2>(points, box);
-    const auto pooled = largest_component_curve<2>(points, box, workspace);
+    const auto pooled = kinetic_component_curve<2>(points, box, workspace, /*first_step=*/true);
     for (const auto* curve : {&one_shot, &pooled}) {
       const auto expected = legacy.breakpoints();
       const auto actual = curve->breakpoints();

@@ -3,11 +3,11 @@
 // tree as EmstEngine — same edges, same order, same weight bits — and
 // therefore the same bottleneck, weight multiset, breakpoint curve and
 // largest-component curve. The sweep covers D in {1,2,3}, waypoint and
-// drunkard mobility, box and torus metrics, clustered / duplicate /
-// boundary-straddling configurations, and the engine's fallback paths
-// (radius growth, mass cell-crossing steps, hysteresis shrink). The PR 2/4
-// golden MTRM checksums are re-pinned here through the forced kinetic path
-// at 1 and 8 threads.
+// drunkard mobility, clustered / duplicate / boundary-straddling
+// configurations, and the engine's fallback paths (radius growth, mass
+// cell-crossing steps, hysteresis shrink). run_mobile_trace itself is checked
+// against a trace rebuilt from per-step batch solves, and the golden MTRM
+// checksums are re-pinned here at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -37,11 +37,6 @@
 namespace manet {
 namespace {
 
-/// Restores the environment-driven engine selection on scope exit even when
-/// an assertion fails mid-test.
-struct KineticModeGuard {
-  ~KineticModeGuard() { set_kinetic_mode(KineticMode::kFromEnvironment); }
-};
 struct ParallelismGuard {
   ~ParallelismGuard() { set_max_parallelism(0); }
 };
@@ -91,7 +86,7 @@ void expect_curves_identical(std::size_t n, std::span<const WeightedEdge> batch,
 /// step. Returns the kinetic stats for fallback-path assertions.
 template <int D>
 KineticStats run_differential_trace(std::size_t n, double side, const MobilityConfig& mobility,
-                                    bool torus, std::size_t steps, std::uint64_t seed) {
+                                    std::size_t steps, std::uint64_t seed) {
   const Box<D> box(side);
   Rng rng(seed);
   auto positions = uniform_deployment(n, box, rng);
@@ -102,10 +97,8 @@ KineticStats run_differential_trace(std::size_t n, double side, const MobilityCo
   KineticEmstEngine<D> kinetic;
   for (std::size_t s = 0; s < steps; ++s) {
     if (s > 0) model->step(positions, rng);
-    const auto batch_tree = torus ? batch.torus(positions, side) : batch.euclidean(positions, box);
-    const auto kinetic_tree = s == 0 ? (torus ? kinetic.start_torus(positions, side)
-                                              : kinetic.start(positions, box))
-                                     : kinetic.advance(positions);
+    const auto batch_tree = batch.euclidean(positions, box);
+    const auto kinetic_tree = s == 0 ? kinetic.start(positions, box) : kinetic.advance(positions);
     expect_trees_identical(batch_tree, kinetic_tree, s);
     expect_curves_identical<D>(n, batch_tree, kinetic_tree, s);
   }
@@ -143,58 +136,39 @@ MobilityConfig sparse_waypoint(double side) {
   return config;
 }
 
-MobilityConfig sparse_drunkard(double side) {
-  MobilityConfig config = fast_drunkard(side);
-  config.drunkard.p_stationary = 0.75;
-  return config;
-}
-
 TEST(KineticDifferential, WaypointBoxMatchesBatch1D) {
-  run_differential_trace<1>(128, 64.0, fast_waypoint(64.0), /*torus=*/false, 120, 11);
+  run_differential_trace<1>(128, 64.0, fast_waypoint(64.0), 120, 11);
 }
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch2D) {
-  run_differential_trace<2>(200, 64.0, fast_waypoint(64.0), /*torus=*/false, 120, 12);
-  const auto stats =
-      run_differential_trace<2>(200, 64.0, sparse_waypoint(64.0), /*torus=*/false, 120, 12);
+  run_differential_trace<2>(200, 64.0, fast_waypoint(64.0), 120, 12);
+  const auto stats = run_differential_trace<2>(200, 64.0, sparse_waypoint(64.0), 120, 12);
   EXPECT_FALSE(stats.dense_mode);
   EXPECT_GT(stats.incremental_repairs, 0u);
   EXPECT_GT(stats.boundary_crossings, 0u);
 }
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch3D) {
-  run_differential_trace<3>(160, 32.0, fast_waypoint(32.0), /*torus=*/false, 80, 13);
+  run_differential_trace<3>(160, 32.0, fast_waypoint(32.0), 80, 13);
 }
 
 TEST(KineticDifferential, DrunkardBoxMatchesBatch1D) {
-  run_differential_trace<1>(96, 48.0, fast_drunkard(48.0), /*torus=*/false, 120, 21);
+  run_differential_trace<1>(96, 48.0, fast_drunkard(48.0), 120, 21);
 }
 
 TEST(KineticDifferential, DrunkardBoxMatchesBatch2D) {
-  run_differential_trace<2>(180, 64.0, fast_drunkard(64.0), /*torus=*/false, 120, 22);
+  run_differential_trace<2>(180, 64.0, fast_drunkard(64.0), 120, 22);
 }
 
 TEST(KineticDifferential, DrunkardBoxMatchesBatch3D) {
-  run_differential_trace<3>(140, 24.0, fast_drunkard(24.0), /*torus=*/false, 80, 23);
+  run_differential_trace<3>(140, 24.0, fast_drunkard(24.0), 80, 23);
 }
 
 TEST(KineticDifferential, PaperMobilityDefaultsMatchBatch2D) {
   // The paper's own Section 4.2 parameters (gentle motion, long pauses):
   // many steps move nothing or almost nothing — the degenerate-delta path.
-  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_waypoint(256.0), false, 150, 31);
-  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_drunkard(256.0), false, 150, 32);
-}
-
-TEST(KineticDifferential, TorusMatchesBatch2D) {
-  run_differential_trace<2>(200, 64.0, fast_drunkard(64.0), /*torus=*/true, 120, 41);
-  const auto stats =
-      run_differential_trace<2>(200, 64.0, sparse_drunkard(64.0), /*torus=*/true, 120, 41);
-  EXPECT_GT(stats.incremental_repairs, 0u);
-}
-
-TEST(KineticDifferential, TorusMatchesBatch1DAnd3D) {
-  run_differential_trace<1>(128, 64.0, fast_drunkard(64.0), /*torus=*/true, 100, 42);
-  run_differential_trace<3>(160, 24.0, fast_waypoint(24.0), /*torus=*/true, 80, 43);
+  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_waypoint(256.0), 150, 31);
+  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
 }
 
 TEST(KineticDifferential, ClusteredDeploymentForcesRadiusGrowthAndMatches) {
@@ -315,7 +289,7 @@ TEST(KineticDifferential, MassTeleportStepsFallBackAndMatch) {
 TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
   // Coincident nodes (zero-weight edges, maximal tie pressure on the
   // (d2, u, v) order) and nodes pinned to the region boundary, moving on and
-  // off it — box and torus.
+  // off it.
   const double side = 50.0;
   const Box2 box(side);
   Rng rng(55);
@@ -329,98 +303,100 @@ TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
     positions.push_back({{rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : side, rng.uniform(0.0, side)}});
   }
 
-  for (const bool torus : {false, true}) {
-    EmstEngine<2> batch;
-    KineticEmstEngine<2> kinetic;
-    auto pts = positions;
-    const auto b0 = torus ? batch.torus(pts, side) : batch.euclidean(pts, box);
-    const auto k0 = torus ? kinetic.start_torus(pts, side) : kinetic.start(pts, box);
-    expect_trees_identical(b0, k0, 0);
-    for (std::size_t s = 1; s <= 40; ++s) {
-      for (std::size_t i = 0; i < pts.size(); i += 3) {
-        // Snap to the boundary half the time, drift otherwise.
-        pts[i].coords[0] = rng.uniform(0.0, 1.0) < 0.5
-                               ? (rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : side)
-                               : std::clamp(pts[i].coords[0] + rng.uniform(-2.0, 2.0), 0.0, side);
-      }
-      const auto b = torus ? batch.torus(pts, side) : batch.euclidean(pts, box);
-      const auto k = kinetic.advance(pts);
-      expect_trees_identical(b, k, s);
-      expect_curves_identical<2>(pts.size(), b, k, s);
+  EmstEngine<2> batch;
+  KineticEmstEngine<2> kinetic;
+  expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  for (std::size_t s = 1; s <= 40; ++s) {
+    for (std::size_t i = 0; i < positions.size(); i += 3) {
+      // Snap to the boundary half the time, drift otherwise.
+      positions[i].coords[0] =
+          rng.uniform(0.0, 1.0) < 0.5
+              ? (rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : side)
+              : std::clamp(positions[i].coords[0] + rng.uniform(-2.0, 2.0), 0.0, side);
     }
+    const auto b = batch.euclidean(positions, box);
+    const auto k = kinetic.advance(positions);
+    expect_trees_identical(b, k, s);
+    expect_curves_identical<2>(positions.size(), b, k, s);
   }
 }
 
 TEST(KineticDifferential, RandomizedConfigSweep) {
   // Randomized fuzz over the whole configuration space: dimension, node
-  // count (straddling the dense cutoff), region size, model, metric.
+  // count (straddling the dense cutoff), region size, model.
   Rng meta(0xD1FFull);
   for (int round = 0; round < 24; ++round) {
     const int d = 1 + static_cast<int>(meta.next_u64() % 3);
     const std::size_t n = 24 + meta.next_u64() % 200;
     const double side = 16.0 + meta.uniform(0.0, 80.0);
-    const bool torus = (meta.next_u64() & 1) != 0;
     const bool waypoint = (meta.next_u64() & 1) != 0;
     const std::size_t steps = 25 + meta.next_u64() % 30;
     const std::uint64_t seed = meta.next_u64();
     const MobilityConfig mobility = waypoint ? fast_waypoint(side) : fast_drunkard(side);
     SCOPED_TRACE(::testing::Message() << "round=" << round << " d=" << d << " n=" << n
-                                      << " side=" << side << " torus=" << torus
-                                      << " waypoint=" << waypoint);
+                                      << " side=" << side << " waypoint=" << waypoint);
     if (d == 1) {
-      run_differential_trace<1>(n, side, mobility, torus, steps, seed);
+      run_differential_trace<1>(n, side, mobility, steps, seed);
     } else if (d == 2) {
-      run_differential_trace<2>(n, side, mobility, torus, steps, seed);
+      run_differential_trace<2>(n, side, mobility, steps, seed);
     } else {
-      run_differential_trace<3>(n, side, mobility, torus, steps, seed);
+      run_differential_trace<3>(n, side, mobility, steps, seed);
     }
   }
 }
 
-TEST(KineticDifferential, RunMobileTraceEngineSelectionIsBitIdentical) {
-  // The run_mobile_trace seam itself: explicit batch vs explicit kinetic on
-  // the same seed must produce bit-identical traces.
-  const Box2 box(96.0);
-  const auto config = fast_waypoint(96.0);
-  const auto run = [&](TraceEngine engine) {
-    Rng rng(61);
-    const auto model = make_mobility_model<2>(config, box);
-    TraceWorkspace<2> ws;
-    const auto trace = run_mobile_trace<2>(128, box, 60, *model, rng, &ws, engine);
-    const auto timeline = trace.critical_radius_timeline();
-    return std::vector<double>(timeline.begin(), timeline.end());
-  };
-  const auto batch_timeline = run(TraceEngine::kBatch);
-  const auto kinetic_timeline = run(TraceEngine::kKinetic);
-  ASSERT_EQ(batch_timeline.size(), kinetic_timeline.size());
-  for (std::size_t i = 0; i < batch_timeline.size(); ++i) {
-    EXPECT_TRUE(bits_equal(batch_timeline[i], kinetic_timeline[i])) << "step " << i;
+/// Replays run_mobile_trace's deployment and mobility draws for `seed` and
+/// builds the trace from a fresh batch EmstEngine solve per step: the
+/// reference the kinetic trace must reproduce bit for bit.
+template <int D>
+MobileConnectivityTrace batch_reference_trace(std::size_t n, const Box<D>& box,
+                                              const MobilityConfig& mobility, std::size_t steps,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  auto positions = uniform_deployment(n, box, rng);
+  const auto model = make_mobility_model<D>(mobility, box);
+  model->initialize(positions, rng);
+  EmstEngine<D> batch;
+  UnionFind dsu(0);
+  std::vector<LargestComponentCurve::Breakpoint> scratch;
+  std::vector<LargestComponentCurve> curves;
+  for (std::size_t s = 0; s < steps; ++s) {
+    if (s > 0) model->step(positions, rng);
+    curves.emplace_back(n, batch.euclidean(positions, box), dsu, scratch);
   }
+  return MobileConnectivityTrace(n, std::move(curves));
 }
 
-std::vector<double> flatten_all(const std::vector<MtrmResult>& results) {
-  std::vector<double> values;
-  for (const MtrmResult& result : results) {
-    const auto flat = flatten_mtrm_result(result);
-    values.insert(values.end(), flat.begin(), flat.end());
+template <int D>
+void check_trace_matches_batch_reference(std::size_t n, double side,
+                                         const MobilityConfig& mobility, std::size_t steps,
+                                         std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n);
+  const Box<D> box(side);
+  Rng rng(seed);
+  const auto model = make_mobility_model<D>(mobility, box);
+  TraceWorkspace<D> ws;
+  const auto trace = run_mobile_trace<D>(n, box, steps, *model, rng, &ws);
+  const auto reference = batch_reference_trace<D>(n, box, mobility, steps, seed);
+
+  const auto timeline = trace.critical_radius_timeline();
+  const auto expected = reference.critical_radius_timeline();
+  ASSERT_EQ(timeline.size(), expected.size());
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    EXPECT_TRUE(bits_equal(timeline[i], expected[i])) << "step " << i;
   }
-  return values;
+  EXPECT_TRUE(bits_equal(trace.range_for_mean_component_fraction(0.9),
+                         reference.range_for_mean_component_fraction(0.9)));
 }
 
-TEST(KineticDifferential, MtrmSweepIsBitIdenticalAcrossEngines) {
-  const KineticModeGuard guard;
-  const std::vector<MtrmConfig> configs = {
-      experiments::waypoint_experiment(256.0, Preset::kQuick),
-      experiments::drunkard_experiment(256.0, Preset::kQuick)};
-
-  set_kinetic_mode(KineticMode::kForceOff);
-  const auto batch_flat = flatten_all(experiments::solve_mtrm_sweep(configs, 20020623));
-  set_kinetic_mode(KineticMode::kForceOn);
-  const auto kinetic_flat = flatten_all(experiments::solve_mtrm_sweep(configs, 20020623));
-
-  ASSERT_EQ(batch_flat.size(), kinetic_flat.size());
-  EXPECT_EQ(0, std::memcmp(batch_flat.data(), kinetic_flat.data(),
-                           batch_flat.size() * sizeof(double)));
+TEST(KineticDifferential, RunMobileTraceMatchesPerStepBatchReference) {
+  check_trace_matches_batch_reference<1>(128, 64.0, fast_waypoint(64.0), 60, 61);
+  check_trace_matches_batch_reference<2>(128, 96.0, fast_waypoint(96.0), 60, 62);
+  check_trace_matches_batch_reference<3>(100, 32.0, fast_drunkard(32.0), 60, 63);
+  // Below kDenseCutoff the kinetic engine delegates every step to its
+  // embedded batch engine.
+  static_assert(20 < KineticEmstEngine<2>::kDenseCutoff);
+  check_trace_matches_batch_reference<2>(20, 64.0, fast_drunkard(64.0), 60, 64);
 }
 
 std::uint64_t mtrm_checksum(const MtrmConfig& config, std::uint64_t seed) {
@@ -428,13 +404,11 @@ std::uint64_t mtrm_checksum(const MtrmConfig& config, std::uint64_t seed) {
   return fnv1a_bits(flatten_mtrm_result(solve_mtrm<2>(config, rng)));
 }
 
-// The PR 2/4 golden digests (tests/determinism_test.cpp), re-pinned through
-// the FORCED kinetic path at 1 and 8 threads. If these move while the
-// determinism_test copies hold, the kinetic engine has broken bit-identity.
+// The golden digests of tests/determinism_test.cpp, re-pinned here through
+// the kinetic trace path at 1 and 8 threads: a kinetic regression shows up
+// in this suite next to the differential tests that localize it.
 TEST(KineticDifferential, GoldenChecksumsHoldThroughKineticPathAtOneAndEightThreads) {
-  const KineticModeGuard mode_guard;
   const ParallelismGuard parallelism_guard;
-  set_kinetic_mode(KineticMode::kForceOn);
 
   const MtrmConfig waypoint = experiments::waypoint_experiment(256.0, Preset::kQuick);
   const MtrmConfig drunkard = experiments::drunkard_experiment(256.0, Preset::kQuick);

@@ -44,7 +44,7 @@ TEST(LintRuleTable, IsWellFormed) {
   // The rules the determinism contract documents must all exist.
   for (const char* id : {"locale-parse", "locale-format", "nondet-random", "nondet-time",
                          "nondet-ordering", "thread-confinement", "simd-confinement",
-                         "process-control", "socket-confinement"}) {
+                         "process-control", "socket-confinement", "env-confinement"}) {
     EXPECT_NE(find_rule(id), nullptr) << id;
   }
 }
@@ -279,6 +279,41 @@ TEST(LintSocketConfinement, CleanOnWrapperNamesAndNonCallUses) {
                    "client.send_all(response);\n"
                    "int socket_count = 3;  // a variable, not the syscall\n"
                    "auto stream = dial_unix(path);\n")
+                  .empty());
+}
+
+// ----- env-confinement ----------------------------------------------------
+
+TEST(LintEnvConfinement, FlagsEnvironmentReadsAndWrites) {
+  const auto diags = lint("src/topology/foo.cpp",
+                          "const char* mode = std::getenv(\"MANET_MODE\");\n"
+                          "const char* safe = secure_getenv(\"HOME\");\n"
+                          "::setenv(\"A\", \"1\", 1);\n"
+                          "putenv(buffer);\n"
+                          "unsetenv(\"A\");\n");
+  EXPECT_EQ(count_rule(diags, "env-confinement"), 5u);
+  // Benches and tools are in scope too; tests may set up their environment.
+  EXPECT_EQ(count_rule(lint("bench/foo.cpp", "auto v = std::getenv(\"X\");\n"),
+                       "env-confinement"),
+            1u);
+  EXPECT_EQ(count_rule(lint("tools/manetd/main.cpp", "auto v = getenv(\"X\");\n"),
+                       "env-confinement"),
+            1u);
+  EXPECT_TRUE(lint("tests/foo_test.cpp", "setenv(\"MANET_THREADS\", \"8\", 1);\n").empty());
+}
+
+TEST(LintEnvConfinement, AllowedInsideParallelCpp) {
+  EXPECT_TRUE(
+      lint("src/support/parallel.cpp", "const char* text = std::getenv(\"MANET_THREADS\");\n")
+          .empty());
+}
+
+TEST(LintEnvConfinement, CleanOnLookAlikeIdentifiers) {
+  EXPECT_TRUE(lint("src/core/foo.cpp",
+                   "const char* getenv_result = nullptr;\n"
+                   "int setenv = 0;  // a variable, not the call\n"
+                   "auto v = config.getenv(\"X\");  // member access\n"
+                   "auto w = read_env_override(\"Y\");\n")
                   .empty());
 }
 

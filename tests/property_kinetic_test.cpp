@@ -2,8 +2,8 @@
 // patterns that stress the engine's bookkeeping rather than its throughput —
 // a node parked exactly on a cell boundary, whole-population teleports, the
 // dense-fallback handoff around kDenseCutoff — plus the crash-safety
-// guarantee: a campaign killed mid-run and resumed THROUGH THE KINETIC PATH
-// must still be bit-identical to an uninterrupted batch-engine run.
+// guarantee: a campaign killed mid-run and resumed must still be
+// bit-identical to an uninterrupted in-process sweep.
 
 #include <gtest/gtest.h>
 
@@ -79,26 +79,6 @@ TEST(PropertyKinetic, NodeOscillatingOnExactCellBoundary) {
       << "the oscillating node never changed cells — the scenario lost its point";
 }
 
-TEST(PropertyKinetic, OscillationWithZeroNetMovementOnTorus) {
-  // The same hop pattern under the wrap-around metric, where 0.0 and side
-  // are the same place: a node alternating between exactly 0.0 and exactly
-  // side - 4.0 moves a tiny torus distance but a huge coordinate distance.
-  const double side = 48.0;
-  Rng rng(72);
-  const Box2 box(side);
-  auto positions = uniform_deployment(60, box, rng);
-
-  EmstEngine<2> batch;
-  KineticEmstEngine<2> kinetic;
-  expect_trees_identical(batch.torus(positions, side), kinetic.start_torus(positions, side), 0);
-
-  for (std::size_t s = 1; s <= 40; ++s) {
-    positions[0].coords[0] = (s % 2 == 0) ? 0.0 : side - 4.0;
-    positions[1].coords[1] = (s % 2 == 0) ? side - 4.0 : 0.0;
-    expect_trees_identical(batch.torus(positions, side), kinetic.advance(positions), s);
-  }
-}
-
 TEST(PropertyKinetic, AllNodesTeleportEveryStep) {
   // Whole-population reflection p -> side - p: every node moves a
   // teleport-scale distance every step, which must route through the
@@ -150,9 +130,10 @@ TEST(PropertyKinetic, DenseFallbackHandoffAroundCutoff) {
 
 // --- kill / resume through the kinetic path --------------------------------
 // Reuses the campaign test machinery (tests/campaign_test.cpp): a campaign
-// killed mid-run with the kinetic engine forced ON, then resumed, must be
-// bit-identical to an uninterrupted run with the engine forced OFF — the
-// strongest cross-engine crash-safety statement the subsystem can make.
+// killed mid-run, then resumed, must be bit-identical to the uninterrupted
+// in-process sweep (no campaign at all) — every unit's trace runs the
+// kinetic engine, which carries state across steps, so a resumed unit must
+// re-derive it from its substream alone.
 
 bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -190,9 +171,6 @@ struct CampaignDirs {
   std::string store_dir;
 };
 
-struct KineticModeGuard {
-  ~KineticModeGuard() { set_kinetic_mode(KineticMode::kFromEnvironment); }
-};
 struct KillHookGuard {
   ~KillHookGuard() { campaign::detail::set_kill_hook({}); }
 };
@@ -202,28 +180,25 @@ struct ParallelismGuard {
 struct KillSignal {};
 
 TEST(PropertyKinetic, KilledAndResumedKineticCampaignMatchesBatchRun) {
-  const KineticModeGuard mode_guard;
   const std::vector<MtrmConfig> configs = {
       experiments::waypoint_experiment(256.0, Preset::kQuick),
       experiments::drunkard_experiment(256.0, Preset::kQuick)};
   constexpr std::uint64_t kSeed = 20020623;
 
-  // Reference: uninterrupted, batch engine, no campaign.
-  set_kinetic_mode(KineticMode::kForceOff);
+  // Reference: uninterrupted, no campaign.
   const auto expected = flatten_all(experiments::solve_mtrm_sweep(configs, kSeed));
 
   // Count the campaign's units so the kill lands mid-run.
-  set_kinetic_mode(KineticMode::kForceOn);
   CampaignDirs reference_dirs("unit_count");
   CampaignRunner reference("tiny", reference_dirs.options());
   const auto uninterrupted = experiments::solve_mtrm_sweep(configs, kSeed, &reference);
   EXPECT_TRUE(bit_identical(expected, flatten_all(uninterrupted)))
-      << "kinetic campaign diverged from the batch sweep even without a kill";
+      << "campaign diverged from the in-process sweep even without a kill";
   const std::size_t units_total = reference.report().units_total;
   ASSERT_GE(units_total, 4u);
 
   // Kill halfway (serial execution makes the kill point exact), then resume
-  // — still forced kinetic — and compare against the batch reference.
+  // and compare against the uninterrupted reference.
   const ParallelismGuard parallelism_guard;
   set_max_parallelism(1);
   const KillHookGuard hook_guard;

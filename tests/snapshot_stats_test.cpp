@@ -18,7 +18,8 @@ TEST(CollectSnapshotStats, AggregatesOverAllSteps) {
   Rng rng(1);
   const Box2 region(100.0);
   auto model = make_mobility_model<2>(MobilityConfig::paper_drunkard(100.0), region);
-  const auto stats = collect_snapshot_stats<2>(15, region, 40, 30.0, *model, rng);
+  const UnitDiskLinkModel link(30.0);
+  const auto stats = collect_snapshot_stats<2>(15, region, 40, link, *model, rng);
   EXPECT_EQ(stats.steps, 40u);
   EXPECT_DOUBLE_EQ(stats.range, 30.0);
   EXPECT_EQ(stats.mean_degree.count(), 40u);
@@ -31,7 +32,8 @@ TEST(CollectSnapshotStats, HugeRangeGivesCompleteGraphEveryStep) {
   const Box2 region(10.0);
   StationaryModel<2> model;
   const std::size_t n = 8;
-  const auto stats = collect_snapshot_stats<2>(n, region, 5, 100.0, model, rng);
+  const UnitDiskLinkModel link(100.0);
+  const auto stats = collect_snapshot_stats<2>(n, region, 5, link, model, rng);
   EXPECT_DOUBLE_EQ(stats.connected_fraction, 1.0);
   EXPECT_DOUBLE_EQ(stats.mean_degree.mean(), static_cast<double>(n - 1));
   EXPECT_DOUBLE_EQ(stats.isolated_count.mean(), 0.0);
@@ -45,7 +47,8 @@ TEST(CollectSnapshotStats, TinyRangeIsolatesEverything) {
   Rng rng(3);
   const Box2 region(1000.0);
   StationaryModel<2> model;
-  const auto stats = collect_snapshot_stats<2>(10, region, 3, 0.001, model, rng);
+  const UnitDiskLinkModel link(0.001);
+  const auto stats = collect_snapshot_stats<2>(10, region, 3, link, model, rng);
   EXPECT_DOUBLE_EQ(stats.connected_fraction, 0.0);
   EXPECT_DOUBLE_EQ(stats.mean_degree.mean(), 0.0);
   EXPECT_DOUBLE_EQ(stats.isolated_count.mean(), 10.0);
@@ -64,7 +67,8 @@ TEST(CollectSnapshotStats, ConnectedFractionMatchesTraceAtSameSeed) {
 
   Rng rng_a(4);
   auto model_a = make_mobility_model<2>(config, region);
-  const auto snapshot = collect_snapshot_stats<2>(n, region, steps, range, *model_a, rng_a);
+  const UnitDiskLinkModel link(range);
+  const auto snapshot = collect_snapshot_stats<2>(n, region, steps, link, *model_a, rng_a);
 
   Rng rng_b(4);
   auto model_b = make_mobility_model<2>(config, region);
@@ -79,7 +83,8 @@ TEST(CollectSnapshotStats, SingleNode) {
   Rng rng(5);
   const Box2 region(10.0);
   StationaryModel<2> model;
-  const auto stats = collect_snapshot_stats<2>(1, region, 3, 1.0, model, rng);
+  const UnitDiskLinkModel link(1.0);
+  const auto stats = collect_snapshot_stats<2>(1, region, 3, link, model, rng);
   EXPECT_DOUBLE_EQ(stats.connected_fraction, 1.0);
   EXPECT_DOUBLE_EQ(stats.isolated_count.mean(), 1.0);  // degree-0 but connected
   EXPECT_DOUBLE_EQ(stats.largest_fraction.mean(), 1.0);
@@ -117,39 +122,12 @@ TEST(CollectSnapshotStats, ValidatesArguments) {
   Rng rng(6);
   const Box2 region(10.0);
   StationaryModel<2> model;
+  const UnitDiskLinkModel link(1.0);
   // User-facing simulation parameters: ConfigError in every build mode
-  // (steps, range and the explicit empty-deployment rejection).
-  EXPECT_THROW(collect_snapshot_stats<2>(5, region, 0, 1.0, model, rng), ConfigError);
-  EXPECT_THROW(collect_snapshot_stats<2>(5, region, 3, 0.0, model, rng), ConfigError);
-  EXPECT_THROW(collect_snapshot_stats<2>(0, region, 3, 1.0, model, rng), ConfigError);
-}
-
-TEST(CollectSnapshotStats, LinkModelOverloadMatchesUnitDiskRange) {
-  // The historical (range) signature must stay bit-identical to the
-  // LinkModel overload under UnitDiskLinkModel — same RNG consumption, same
-  // graphs, same aggregates.
-  const Box2 region(128.0);
-  const MobilityConfig config = MobilityConfig::paper_drunkard(128.0);
-
-  Rng rng_a(8);
-  auto model_a = make_mobility_model<2>(config, region);
-  const auto legacy = collect_snapshot_stats<2>(12, region, 30, 40.0, *model_a, rng_a);
-
-  Rng rng_b(8);
-  auto model_b = make_mobility_model<2>(config, region);
-  const UnitDiskLinkModel disk(40.0);
-  const auto seam = collect_snapshot_stats<2>(12, region, 30, disk, *model_b, rng_b);
-
-  EXPECT_DOUBLE_EQ(legacy.range, seam.range);
-  EXPECT_DOUBLE_EQ(legacy.connected_fraction, seam.connected_fraction);
-  EXPECT_DOUBLE_EQ(legacy.strongly_connected_fraction, seam.strongly_connected_fraction);
-  // Symmetric model: the strong census coincides with the weak one.
-  EXPECT_DOUBLE_EQ(seam.strongly_connected_fraction, seam.connected_fraction);
-  EXPECT_DOUBLE_EQ(legacy.mean_degree.mean(), seam.mean_degree.mean());
-  EXPECT_DOUBLE_EQ(legacy.component_count.mean(), seam.component_count.mean());
-  EXPECT_DOUBLE_EQ(legacy.largest_fraction.mean(), seam.largest_fraction.mean());
-  EXPECT_DOUBLE_EQ(legacy.disconnection_by_isolates_fraction,
-                   seam.disconnection_by_isolates_fraction);
+  // (steps and the explicit empty-deployment rejection; a non-positive range
+  // is rejected by UnitDiskLinkModel itself).
+  EXPECT_THROW(collect_snapshot_stats<2>(5, region, 0, link, model, rng), ConfigError);
+  EXPECT_THROW(collect_snapshot_stats<2>(0, region, 3, link, model, rng), ConfigError);
 }
 
 TEST(CollectSnapshotStats, DirectedModelSeparatesStrongFromWeak) {
@@ -214,7 +192,8 @@ TEST(CollectSnapshotStats, IsolateHealingDetectsThePapersDisconnectionMode) {
 
   ScriptedModel model({cluster_with_isolate, cluster_with_pair, connected_line});
   Rng rng(7);
-  const auto stats = collect_snapshot_stats<2>(5, region, 4, 1.5, model, rng);
+  const UnitDiskLinkModel link(1.5);
+  const auto stats = collect_snapshot_stats<2>(5, region, 4, link, model, rng);
 
   // Snapshots: step 0 (random, likely fully isolated at r=1.5 — counts as
   // disconnected, not isolate-only unless all singletons... all singletons

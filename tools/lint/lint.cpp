@@ -163,6 +163,17 @@ std::vector<Rule> build_rules() {
        component_call("popen"), component_call("system")},
   });
 
+  table.push_back(Rule{
+      "env-confinement",
+      "environment reads and writes are confined to src/support/parallel.cpp "
+      "(the MANET_THREADS read, which never changes a result); a new "
+      "environment switch needs a visible waiver",
+      {"src", "bench", "tools"},
+      {"src/support/parallel.cpp"},
+      {component_call("getenv"), component_call("secure_getenv"), component_call("setenv"),
+       component_call("putenv"), component_call("unsetenv")},
+  });
+
   return table;
 }
 
