@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     std::vector<double> torus_values;
     for (std::size_t t = 0; t < deployments; ++t) {
       const auto points = uniform_deployment(n, region, point_rng);
-      const double rc_euclid = critical_range<2>(points);
+      const double rc_euclid = critical_range<2>(points, region);
       const double rc_torus = torus_critical_range<2>(points, l);
       euclid.add(rc_euclid);
       torus.add(rc_torus);

@@ -41,10 +41,10 @@ int main(int argc, char** argv) {
     RunningStats max_range_ratio;
     for (std::size_t t = 0; t < deployments; ++t) {
       const auto points = uniform_deployment(n, region, point_rng);
-      savings2.add(per_node_assignment_savings<2>(points, 2.0));
-      savings4.add(per_node_assignment_savings<2>(points, 4.0));
-      const auto per_node = mst_assignment<2>(points);
-      const auto homogeneous = homogeneous_assignment<2>(points);
+      savings2.add(per_node_assignment_savings<2>(points, region, 2.0));
+      savings4.add(per_node_assignment_savings<2>(points, region, 4.0));
+      const auto per_node = mst_assignment<2>(points, region);
+      const auto homogeneous = homogeneous_assignment<2>(points, region);
       max_range_ratio.add(per_node.max_range() / homogeneous.max_range());
     }
 

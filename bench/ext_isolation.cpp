@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
     std::vector<double> ratios;
     for (std::size_t t = 0; t < deployments; ++t) {
       const auto points = uniform_deployment(n, region, point_rng);
-      const double rc = critical_range<2>(points);
-      const double iso = isolation_range<2>(points);
+      const double rc = critical_range<2>(points, region);
+      const double iso = isolation_range<2>(points, region);
       if (iso >= rc * (1.0 - 1e-12)) ++equal;
       ratio.add(iso / rc);
       ratios.push_back(iso / rc);

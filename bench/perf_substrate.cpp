@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate: the hot
-// paths executed millions of times by the figure benches — proximity-graph
+// paths executed millions of times by the figure benches — unit-disk graph
 // construction, MST / critical-radius extraction, component-curve building,
 // union-find sweeps and mobility stepping.
 
@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "graph/union_find.hpp"
 #include "mobility/factory.hpp"
 #include "sim/deployment.hpp"
 #include "sim/mobile_trace.hpp"
 #include "support/contracts.hpp"
 #include "topology/critical_range.hpp"
+#include "topology/emst_grid.hpp"
 #include "topology/mst.hpp"
 
 namespace {
@@ -33,9 +34,9 @@ void BM_ProximityEdges(benchmark::State& state) {
   const Box2 box(side);
   const auto points = bench_points(n, side, 1);
   // A radius near the connectivity threshold: the interesting regime.
-  const double radius = critical_range<2>(std::span<const Point2>(points));
+  const UnitDiskLinkModel link(critical_range<2>(points, box));
   for (auto _ : state) {
-    auto edges = proximity_edges<2>(points, box, radius);
+    auto edges = link_model_edges<2>(points, box, link);
     benchmark::DoNotOptimize(edges);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -48,9 +49,9 @@ void BM_AnalyzeComponents(benchmark::State& state) {
   const double side = 1024.0;
   const Box2 box(side);
   const auto points = bench_points(n, side, 2);
-  const double radius = critical_range<2>(std::span<const Point2>(points)) * 0.8;
+  const UnitDiskLinkModel link(critical_range<2>(points, box) * 0.8);
   for (auto _ : state) {
-    auto summary = analyze_components<2>(points, box, radius);
+    auto summary = analyze_link_components<2>(points, box, link);
     benchmark::DoNotOptimize(summary);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -72,9 +73,13 @@ BENCHMARK(BM_EuclideanMst)->Arg(16)->Arg(64)->Arg(128)->Arg(512);
 
 void BM_LargestComponentCurve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto points = bench_points(n, 1024.0, 4);
+  const Box2 box(1024.0);
+  const auto points = bench_points(n, box.side(), 4);
+  EmstEngine<2> engine;
+  UnionFind dsu(n);
+  std::vector<LargestComponentCurve::Breakpoint> scratch;
   for (auto _ : state) {
-    auto curve = largest_component_curve<2>(std::span<const Point2>(points));
+    const LargestComponentCurve curve(n, engine.euclidean(points, box), dsu, scratch);
     benchmark::DoNotOptimize(curve);
   }
 }

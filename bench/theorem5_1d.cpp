@@ -36,7 +36,7 @@ double probability_connected_1d(double l, std::size_t n, double r, std::size_t t
   std::size_t connected = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     const auto points = uniform_deployment(n, line, rng);
-    if (critical_range<1>(points) <= r) ++connected;
+    if (critical_range<1>(points, line) <= r) ++connected;
   }
   return static_cast<double>(connected) / static_cast<double>(trials);
 }

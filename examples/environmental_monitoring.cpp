@@ -21,7 +21,7 @@
 
 #include "core/energy.hpp"
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "mobility/factory.hpp"
 #include "sim/deployment.hpp"
 #include "sim/mobile_trace.hpp"
@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
   std::size_t steps_used = budget;
   std::size_t connected_steps = 0;
   for (std::size_t step = 0; step < budget; ++step) {
-    const AdjacencyGraph graph = build_communication_graph<2>(positions, ocean, r_op);
+    const AdjacencyGraph graph =
+        build_link_communication_graph<2>(positions, ocean, UnitDiskLinkModel(r_op));
     if (reachable_count(graph, 0) == buoys) ++connected_steps;
     if (gossip_round(graph, knowledge)) {
       steps_used = step + 1;

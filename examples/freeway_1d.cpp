@@ -16,8 +16,8 @@
 
 #include "core/theory.hpp"
 #include "geometry/box.hpp"
+#include "graph/link_model.hpp"
 #include "occupancy/exact_1d.hpp"
-#include "graph/proximity.hpp"
 #include "sim/deployment.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     std::size_t connected = 0;
     for (std::size_t t = 0; t < trials; ++t) {
       const auto cars_on_road = uniform_deployment(cars, freeway, rng);
-      if (critical_range<1>(cars_on_road) <= range) ++connected;
+      if (critical_range<1>(cars_on_road, freeway) <= range) ++connected;
     }
     const double probability = static_cast<double>(connected) / static_cast<double>(trials);
     table.add_row({TextTable::num(beta, 2), TextTable::num(range, 1),
@@ -79,10 +79,11 @@ int main(int argc, char** argv) {
   // --- Message propagation in one connected snapshot. ----------------------
   const double range = theory::connectivity_threshold_range_1d(length, n, 2.0);
   auto cars_on_road = uniform_deployment(cars, freeway, rng);
-  while (critical_range<1>(cars_on_road) > range) {
+  while (critical_range<1>(cars_on_road, freeway) > range) {
     cars_on_road = uniform_deployment(cars, freeway, rng);
   }
-  const AdjacencyGraph graph = build_communication_graph<1>(cars_on_road, freeway, range);
+  const AdjacencyGraph graph =
+      build_link_communication_graph<1>(cars_on_road, freeway, UnitDiskLinkModel(range));
 
   // The accident happens at the car closest to the end of the freeway; how
   // many hops until the car nearest the start hears about it?

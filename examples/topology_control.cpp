@@ -17,7 +17,7 @@
 
 #include "core/energy.hpp"
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "graph/robustness.hpp"
 #include "sim/deployment.hpp"
 #include "support/cli.hpp"
@@ -73,20 +73,23 @@ int main(int argc, char** argv) {
   const EnergyModel energy(cli.double_value("alpha"));
 
   const auto points = uniform_deployment(nodes, region, rng);
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, region);
 
   // Operating point 2: grow the homogeneous range until the graph survives
   // any single node failure (biconnected).
   double r_margin = rc;
-  while (!survives_any_single_failure(build_communication_graph<2>(points, region, r_margin))) {
+  const auto unit_disk_graph = [&](double range) {
+    return build_link_communication_graph<2>(points, region, UnitDiskLinkModel(range));
+  };
+  while (!survives_any_single_failure(unit_disk_graph(r_margin))) {
     r_margin *= 1.05;
   }
 
-  const RangeAssignment per_node = mst_assignment<2>(points);
+  const RangeAssignment per_node = mst_assignment<2>(points, region);
   const double homogeneous_cost = energy.network_power(nodes, rc);
 
-  const AdjacencyGraph graph_rc = build_communication_graph<2>(points, region, rc);
-  const AdjacencyGraph graph_margin = build_communication_graph<2>(points, region, r_margin);
+  const AdjacencyGraph graph_rc = unit_disk_graph(rc);
+  const AdjacencyGraph graph_margin = unit_disk_graph(r_margin);
 
   std::cout << nodes << " nodes in [0, " << side << "]^2, critical range " << rc << "\n\n";
 

@@ -7,7 +7,7 @@
 
 #include "core/mtrm.hpp"
 #include "graph/link_model.hpp"
-#include "topology/link_critical_range.hpp"
+#include "topology/critical_range.hpp"
 
 namespace manet {
 

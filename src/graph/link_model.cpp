@@ -20,17 +20,23 @@ UnitDiskLinkModel::UnitDiskLinkModel(double radius) : radius_(radius) {
 // ---------------------------------------------------------------------------
 
 void ShadowingParams::validate() const {
-  if (!(reference_range > 0.0)) {
-    throw ConfigError("ShadowingParams: reference_range must be > 0");
+  // Negated comparisons reject NaN; the isfinite checks reject the infinities
+  // from_chars accepts from CLI text ("inf").
+  if (!(reference_range > 0.0) || !std::isfinite(reference_range)) {
+    throw ConfigError("ShadowingParams: reference_range must be finite and > 0");
   }
-  if (!(sigma_db >= 0.0)) {
-    throw ConfigError("ShadowingParams: sigma_db must be >= 0");
+  if (!(sigma_db >= 0.0) || !std::isfinite(sigma_db)) {
+    throw ConfigError("ShadowingParams: sigma_db must be finite and >= 0");
   }
-  if (!(path_loss_exponent > 0.0)) {
-    throw ConfigError("ShadowingParams: path_loss_exponent must be > 0");
+  if (!(path_loss_exponent > 0.0) || !std::isfinite(path_loss_exponent)) {
+    throw ConfigError("ShadowingParams: path_loss_exponent must be finite and > 0");
   }
-  if (!(z_clip > 0.0)) {
-    throw ConfigError("ShadowingParams: z_clip must be > 0");
+  if (!(z_clip > 0.0) || !std::isfinite(z_clip)) {
+    throw ConfigError("ShadowingParams: z_clip must be finite and > 0");
+  }
+  if (!std::isfinite(max_gain_factor())) {
+    throw ConfigError("ShadowingParams: sigma_db * z_clip / path_loss_exponent overflows the "
+                      "maximum fading gain");
   }
 }
 
@@ -129,11 +135,12 @@ double ShadowingLinkFamily::hi_factor() const noexcept {
 HeterogeneousRangeLinkFamily::HeterogeneousRangeLinkFamily(double min_factor,
                                                            double max_factor)
     : min_factor_(min_factor), max_factor_(max_factor) {
-  if (!(min_factor > 0.0)) {
-    throw ConfigError("HeterogeneousRangeLinkFamily: min_factor must be > 0");
+  if (!(min_factor > 0.0) || !std::isfinite(min_factor)) {
+    throw ConfigError("HeterogeneousRangeLinkFamily: min_factor must be finite and > 0");
   }
-  if (!(max_factor >= min_factor)) {
-    throw ConfigError("HeterogeneousRangeLinkFamily: max_factor must be >= min_factor");
+  if (!(max_factor >= min_factor) || !std::isfinite(max_factor)) {
+    throw ConfigError(
+        "HeterogeneousRangeLinkFamily: max_factor must be finite and >= min_factor");
   }
 }
 

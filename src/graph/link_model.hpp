@@ -12,9 +12,9 @@
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
 #include "graph/adjacency.hpp"
-#include "graph/proximity.hpp"
 #include "graph/scc.hpp"
 #include "graph/union_find.hpp"
+#include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "topology/range_assignment.hpp"
@@ -77,11 +77,11 @@ class LinkModel {
   virtual void validate_for(std::size_t node_count) const { static_cast<void>(node_count); }
 };
 
-/// The paper's point-graph rule: edge iff dist(u, v) <= radius. The seam's
-/// identity element — `link_model_edges` / `analyze_link_components` under
-/// this model are pinned bit-identical to `proximity_edges` /
-/// `analyze_components` (tests/link_model_test.cpp), so selecting it (the
-/// default everywhere) is bit-for-bit invisible.
+/// The paper's point-graph rule: edge iff dist(u, v) <= radius — the
+/// library's only unit-disk graph pipeline. `link_model_edges` /
+/// `analyze_link_components` under this model are pinned to a brute-force
+/// all-pairs oracle (tests/link_model_test.cpp), exact boundary ties and
+/// duplicate points included.
 class UnitDiskLinkModel final : public LinkModel {
  public:
   /// Requires radius > 0 (ConfigError — user-facing configuration).
@@ -120,7 +120,8 @@ struct ShadowingParams {
   /// Root seed of the per-pair fading substreams.
   std::uint64_t fading_seed = Rng::kDefaultSeed;
 
-  /// Throws ConfigError on out-of-domain values (NaNs included).
+  /// Throws ConfigError on out-of-domain values (NaNs and infinities
+  /// included) and when max_gain_factor() overflows to infinity.
   void validate() const;
 
   /// Largest possible fading gain, 10^(sigma_db * z_clip / (10 * eta)).
@@ -200,8 +201,8 @@ class HeterogeneousRangeLinkModel final : public LinkModel {
 /// A family of link models indexed by a scale parameter r (the common range,
 /// the shadowing median range, the base of heterogeneous per-node ranges).
 /// Connectivity under every family here is monotone in r — links only appear
-/// as r grows — which is what the critical-range searches in
-/// topology/link_critical_range.hpp rely on.
+/// as r grows — which is what link_model_critical_range
+/// (topology/critical_range.hpp) relies on.
 class LinkModelFamily {
  public:
   LinkModelFamily() = default;
@@ -265,7 +266,7 @@ class ShadowingLinkFamily final : public LinkModelFamily {
 /// (e.g. BLE beacons next to mains-powered gateways).
 class HeterogeneousRangeLinkFamily final : public LinkModelFamily {
  public:
-  /// Requires 0 < min_factor <= max_factor (ConfigError).
+  /// Requires finite factors with 0 < min_factor <= max_factor (ConfigError).
   HeterogeneousRangeLinkFamily(double min_factor, double max_factor);
 
   double min_factor() const noexcept { return min_factor_; }
@@ -302,10 +303,51 @@ const std::vector<std::string>& link_model_family_names();
 // Graph construction / analysis through the seam.
 // ---------------------------------------------------------------------------
 
+/// Structural summary of a communication graph: everything the paper's
+/// simulator reports per generated graph ("the percentage of connected
+/// graphs, the average size of the largest connected component, ...") plus
+/// the isolated-node census behind its observation that "disconnection is
+/// caused by only a few isolated nodes", plus — since a LinkModel may be
+/// directed — a strongly-connected-component census.
+///
+/// Empty-deployment semantics (n == 0), pinned by the tests: every count is
+/// 0, `connected()` / `strongly_connected()` are vacuously true and
+/// `largest_fraction()` is 1.0. Callers that divide by `component_count` or
+/// index by `largest_size` must branch on `node_count == 0` first — the
+/// public sim/ and core/ entry points reject empty deployments with
+/// ConfigError instead (see sim/snapshot_stats.hpp).
+struct ComponentSummary {
+  std::size_t node_count = 0;
+  std::size_t component_count = 0;
+  std::size_t largest_size = 0;
+  std::size_t isolated_count = 0;
+  /// Directed census. For symmetric link models strong and weak
+  /// connectivity coincide, so these mirror component_count / largest_size.
+  /// For directed models they are computed from the arc set via
+  /// graph/scc.hpp, while the undirected fields above describe the
+  /// bidirectional (symmetric-closure) subgraph.
+  std::size_t scc_count = 0;
+  std::size_t largest_scc_size = 0;
+
+  /// A graph on zero or one nodes is vacuously connected.
+  bool connected() const noexcept { return component_count <= 1; }
+
+  /// "Connected" generalized to directed communication graphs: every
+  /// ordered pair of nodes can route to each other. Equals connected() for
+  /// symmetric models; vacuously true on zero or one nodes.
+  bool strongly_connected() const noexcept { return scc_count <= 1; }
+
+  /// Largest component size as a fraction of n (1.0 for empty graphs).
+  double largest_fraction() const noexcept {
+    if (node_count == 0) return 1.0;
+    return static_cast<double>(largest_size) / static_cast<double>(node_count);
+  }
+};
+
 /// Enumerates the symmetric(-projection) edges of the communication graph
 /// under `model`, each unordered pair emitted at most once as (u < v) in
-/// cell-grid enumeration order. For UnitDiskLinkModel this is bit-identical
-/// to proximity_edges (same grid, same order, same tie rule).
+/// cell-grid enumeration order. Under UnitDiskLinkModel these are exactly
+/// the pairs with dist <= r (inclusive, compared in squared space).
 template <int D>
 std::vector<std::pair<std::size_t, std::size_t>> link_model_edges(
     std::span<const Point<D>> points, const Box<D>& box, const LinkModel& model) {
@@ -351,12 +393,11 @@ AdjacencyGraph build_link_communication_graph(std::span<const Point<D>> points,
   return AdjacencyGraph(points.size(), edges);
 }
 
-/// Connectivity structure under `model` without materializing the graph —
-/// the LinkModel generalization of analyze_components.
+/// Connectivity structure under `model` without materializing the graph: a
+/// single grid sweep feeding a union-find plus a degree census.
 ///
-/// Symmetric models: identical census to analyze_components (for
-/// UnitDiskLinkModel, field-for-field identical — the differential suite
-/// pins it), with the strong census mirroring the weak one.
+/// Symmetric models: the undirected census, with the strong census
+/// mirroring the weak one.
 ///
 /// Directed models: the undirected fields describe the *bidirectional*
 /// subgraph (the symmetric closure, i.e. the RangeAssignment rule), the
@@ -417,8 +458,10 @@ ComponentSummary analyze_link_components(std::span<const Point<D>> points, const
   MANET_ENSURE(summary.largest_size >= 1 && summary.largest_size <= summary.node_count);
   MANET_ENSURE(summary.component_count >= 1 && summary.component_count <= summary.node_count);
   MANET_ENSURE(summary.isolated_count <= summary.node_count);
-  MANET_ENSURE(summary.scc_count >= summary.component_count ||
-               (!directed && summary.scc_count == summary.component_count));
+  // A bidirectional component lies inside one SCC, so the SCC partition is
+  // never finer than the undirected one (and equals it for symmetric models).
+  MANET_ENSURE(summary.scc_count <= summary.component_count &&
+               (directed || summary.scc_count == summary.component_count));
   return summary;
 }
 

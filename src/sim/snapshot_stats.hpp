@@ -6,7 +6,6 @@
 #include "geometry/box.hpp"
 #include "graph/link_model.hpp"
 #include "graph/metrics.hpp"
-#include "graph/proximity.hpp"
 #include "graph/scc.hpp"
 #include "mobility/mobility_model.hpp"
 #include "sim/deployment.hpp"

@@ -10,7 +10,6 @@
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
-#include "topology/link_critical_range.hpp"
 
 namespace manet {
 

@@ -56,8 +56,8 @@ struct TraceWorkspace {
 
 /// Component curve of one trace step through the workspace's kinetic engine:
 /// `first_step` starts a new trace (full build + re-baseline), subsequent
-/// calls repair incrementally. The returned curve is bit-identical to
-/// largest_component_curve's (topology/emst_kinetic.hpp explains why).
+/// calls repair incrementally. The returned curve is bit-identical to a batch
+/// EmstEngine solve's (topology/emst_kinetic.hpp explains why).
 template <int D>
 LargestComponentCurve kinetic_component_curve(std::span<const Point<D>> points,
                                               const Box<D>& box, TraceWorkspace<D>& workspace,

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "geometry/box.hpp"
 #include "geometry/point.hpp"
-#include "geometry/torus.hpp"
+#include "graph/link_model.hpp"
 #include "graph/union_find.hpp"
 #include "support/error.hpp"
 #include "topology/emst_grid.hpp"
@@ -15,16 +16,17 @@
 
 namespace manet {
 
-/// Critical transmission radius rc(P) of a point set P: the minimum common
-/// range r such that the induced communication graph is connected. The graph
-/// is connected at range r iff r >= rc(P), which turns every "connected
-/// during fraction f of the time" question into a quantile of per-step
-/// critical radii (see DESIGN.md §2).
+/// Critical transmission radius rc(P) of a point set P inside `box` (the
+/// deployment region): the minimum common range r such that the induced
+/// communication graph is connected. The graph is connected at range r iff
+/// r >= rc(P), which turns every "connected during fraction f of the time"
+/// question into a quantile of per-step critical radii (see DESIGN.md §2).
 ///
-/// rc equals the bottleneck (longest edge) of the Euclidean MST. Returns 0
-/// for n <= 1 point sets (vacuously connected).
+/// rc equals the bottleneck (longest edge) of the Euclidean MST, solved in
+/// expected O(n log n) by the adaptive EMST engine (topology/emst_grid.hpp).
+/// Returns 0 for n <= 1 point sets (vacuously connected).
 template <int D>
-double critical_range(std::span<const Point<D>> points) {
+double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
   if constexpr (D == 1) {
     // 1-D specialization: the graph is connected iff no gap between
     // consecutive sorted positions exceeds r, so rc is the largest gap.
@@ -37,19 +39,6 @@ double critical_range(std::span<const Point<D>> points) {
     for (std::size_t i = 1; i < xs.size(); ++i) max_gap = std::max(max_gap, xs[i] - xs[i - 1]);
     return max_gap;
   } else {
-    const auto mst = euclidean_mst(points);
-    return tree_bottleneck(mst);
-  }
-}
-
-/// Grid-accelerated critical range for points inside `box` (the deployment
-/// region): expected O(n log n) via the adaptive EMST engine
-/// (topology/emst_grid.hpp), bit-identical to the dense overload above.
-template <int D>
-double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
-  if constexpr (D == 1) {
-    return critical_range<1>(points);  // the sort specialization is already O(n log n)
-  } else {
     EmstEngine<D> engine;
     return tree_bottleneck(engine.euclidean(points, box));
   }
@@ -60,9 +49,9 @@ double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
 ///
 /// As r grows, components merge exactly at MST edge weights (Kruskal's merge
 /// process), so the whole curve has at most n-1 breakpoints and is computed
-/// once per point set from its EMST — expected O(n log n) through the grid
-/// engine (topology/emst_grid.hpp), O(n^2) on the dense Prim fallback the
-/// engine selects for tiny n. It answers, with no further simulation:
+/// once per point set from its EMST (topology/emst_grid.hpp; the mobile step
+/// loop uses the kinetic form in sim/trace_workspace.hpp). It answers, with
+/// no further simulation:
 ///   - largest component size at any range r,
 ///   - the minimum range making the largest component >= a target size
 ///     (the paper's rl90 / rl75 / rl50 quantities),
@@ -115,26 +104,6 @@ class LargestComponentCurve {
   std::vector<Breakpoint> breakpoints_;
 };
 
-/// Convenience builder: curve of the communication graph over `points`,
-/// via the dense EMST path (no deployment box required).
-template <int D>
-LargestComponentCurve largest_component_curve(std::span<const Point<D>> points) {
-  return LargestComponentCurve(points.size(), euclidean_mst(points));
-}
-
-/// Grid-accelerated builder for points inside `box`: same curve, bit for
-/// bit, at expected O(n log n). The mobile simulator's step loop uses the
-/// kinetic form in sim/trace_workspace.hpp instead, which repairs one step's
-/// tree into the next.
-template <int D>
-LargestComponentCurve largest_component_curve(std::span<const Point<D>> points,
-                                              const Box<D>& box) {
-  EmstEngine<D> engine;
-  UnionFind dsu(points.size());
-  std::vector<LargestComponentCurve::Breakpoint> scratch;
-  return LargestComponentCurve(points.size(), engine.euclidean(points, box), dsu, scratch);
-}
-
 /// The minimum transmitting range at which NO node is isolated: the largest
 /// nearest-neighbor distance, max_i min_{j != i} dist(i, j). Always a lower
 /// bound on the critical range; the two coincide exactly when the last
@@ -148,33 +117,77 @@ double isolation_range(std::span<const Point<D>> points, const Box<D>& box) {
   return engine.max_nearest_neighbor_range(points, box);
 }
 
-/// Overload for point sets without a known deployment box: derives the
-/// enclosing [0, side]^D region. Point sets with negative coordinates (not
-/// produced by any deployment in this library) take a dense O(n^2) scan.
+/// Options of the bisection fallback in link_model_critical_range. The
+/// search stops when the bracket width falls below
+/// `relative_tolerance * (initial hi)` or after `max_iterations` halvings
+/// (80 halvings of any double bracket reach 1 ulp, so the iteration cap is a
+/// backstop, not the usual exit).
+struct LinkRangeSearchOptions {
+  double relative_tolerance = 1e-6;
+  std::size_t max_iterations = 80;
+
+  /// Throws ConfigError on out-of-domain values.
+  void validate() const {
+    if (!(relative_tolerance > 0.0)) {
+      throw ConfigError("LinkRangeSearchOptions: relative_tolerance must be > 0");
+    }
+    if (max_iterations == 0) {
+      throw ConfigError("LinkRangeSearchOptions: max_iterations must be >= 1");
+    }
+  }
+};
+
+/// Critical scale parameter of a deployment under an arbitrary link-model
+/// family: the minimum r such that `family.at_range(r, n, fading_seed)`
+/// makes the communication graph (strongly) connected.
+///
+/// The paper's exact argument — rc equals the bottleneck edge of the
+/// Euclidean MST — holds only for the unit disk, where "edge at range r" is
+/// a pure threshold on Euclidean distance. Families that declare
+/// `exact_bottleneck()` take that exact path (bit-identical to
+/// critical_range). Every other family falls back to deterministic
+/// bisection, which is correct because connectivity stays *monotone in r*
+/// even under random attenuation: the fading gains are a pure function of
+/// (fading_seed, pair) — independent of r — so growing r only ever adds
+/// links. The initial bracket is [0, box.diagonal() * family.hi_factor()],
+/// connected by the family's hi_factor guarantee (checked).
+///
+/// Determinism: no randomness is drawn here; everything is keyed by
+/// `fading_seed`, so the result is bit-identical at any thread count and
+/// across repeated calls. Returns 0 for n <= 1 (vacuously connected).
 template <int D>
-double isolation_range(std::span<const Point<D>> points) {
-  const std::size_t n = points.size();
-  if (n <= 1) return 0.0;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const auto& p : points) {
-    for (int axis = 0; axis < D; ++axis) {
-      lo = std::min(lo, p.coords[axis]);
-      hi = std::max(hi, p.coords[axis]);
+double link_model_critical_range(std::span<const Point<D>> points, const Box<D>& box,
+                                 const LinkModelFamily& family, std::uint64_t fading_seed,
+                                 const LinkRangeSearchOptions& options = {}) {
+  options.validate();
+  if (points.size() <= 1) return 0.0;
+  if (family.exact_bottleneck()) {
+    return critical_range<D>(points, box);
+  }
+
+  const auto connected_at = [&](double r) {
+    const auto model = family.at_range(r, points.size(), fading_seed);
+    return analyze_link_components<D>(points, box, *model).strongly_connected();
+  };
+
+  double lo = 0.0;
+  double hi = box.diagonal() * family.hi_factor();
+  MANET_EXPECTS(hi > 0.0);
+  // The hi_factor contract promises connectivity at the initial hi; a model
+  // violating it would silently bisect toward a wrong answer, so check.
+  MANET_EXPECTS(connected_at(hi));
+
+  const double width_goal = options.relative_tolerance * hi;
+  for (std::size_t iter = 0; iter < options.max_iterations && hi - lo > width_goal; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;  // bracket collapsed to adjacent doubles
+    if (connected_at(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
     }
   }
-  if (lo >= 0.0) {
-    return isolation_range(points, Box<D>(hi > 0.0 ? hi : 1.0));
-  }
-  double worst_nn2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double nn2 = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j) nn2 = std::min(nn2, squared_distance(points[i], points[j]));
-    }
-    worst_nn2 = std::max(worst_nn2, nn2);
-  }
-  return covering_radius(worst_nn2);
+  return hi;
 }
 
 /// EXTENSION: critical transmission radius under the flat-torus metric on

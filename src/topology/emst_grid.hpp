@@ -48,7 +48,8 @@ struct EmstGridStats {
 /// faster there and needs no grid.
 ///
 /// VALUE IDENTITY: the returned tree has exactly the same edge-weight
-/// multiset as the dense path (`mst_with_metric` in topology/mst.hpp) — all
+/// multiset as the dense reference (`mst_with_metric` in topology/mst.hpp,
+/// which only the tests and bench/perf_mst call) — all
 /// minimum spanning trees of a graph share it — and weights go through the
 /// same squared-distance + covering_radius arithmetic, so every quantity the
 /// simulator derives from the tree (bottleneck / critical radius,

@@ -19,14 +19,11 @@ struct WeightedEdge {
 
 /// Minimum spanning tree under an arbitrary squared-distance metric, via
 /// dense Prim's algorithm: O(n^2) metric evaluations, O(n) space, no edge
-/// materialization. This is the reference implementation and the fallback
-/// of the grid-accelerated engine (topology/emst_grid.hpp), which selects
-/// it for tiny inputs (n < EmstEngine::kDenseCutoff) and for densities
-/// where the connectivity-threshold radius is so large a fraction of the
-/// region that a spatial grid cannot prune pairs. Hot paths (the mobile
-/// step loop, stationary sampling) go through EmstEngine, whose output is
-/// value-identical to this function; dense Prim additionally supports
-/// arbitrary metrics and points outside any deployment box.
+/// materialization. This is the REFERENCE implementation only: no library
+/// code calls it. Every solve in the library goes through the grid engine
+/// (topology/emst_grid.hpp), which carries its own pooled dense fallback for
+/// tiny inputs; the tests and bench/perf_mst's identity gate compare that
+/// engine's trees against this function.
 ///
 /// `squared_dist` is any symmetric non-negative function of two points (the
 /// Euclidean and torus metrics are the shipped instances). Returns n-1
@@ -74,7 +71,7 @@ std::vector<WeightedEdge> mst_with_metric(std::span<const Point<D>> points,
   return mst;
 }
 
-/// Euclidean minimum spanning tree (the library's default metric).
+/// Euclidean minimum spanning tree: the differential oracle of EmstEngine.
 template <int D>
 std::vector<WeightedEdge> euclidean_mst(std::span<const Point<D>> points) {
   return mst_with_metric(points,

@@ -1,14 +1,15 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include <algorithm>
-
+#include "geometry/box.hpp"
 #include "geometry/point.hpp"
 #include "graph/union_find.hpp"
 #include "support/error.hpp"
+#include "topology/emst_grid.hpp"
 #include "topology/mst.hpp"
 
 namespace manet {
@@ -44,17 +45,18 @@ class RangeAssignment {
 };
 
 /// The homogeneous assignment the paper analyses: every node gets the
-/// critical (common) transmitting range of the point set.
+/// critical (common) transmitting range of the point set, whose points lie
+/// inside `box` (the deployment region).
 template <int D>
-RangeAssignment homogeneous_assignment(std::span<const Point<D>> points);
+RangeAssignment homogeneous_assignment(std::span<const Point<D>> points, const Box<D>& box);
 
 /// The MST-based per-node assignment: r_i is the length of the longest MST
 /// edge incident to node i. This keeps every MST edge bidirectional, so the
 /// symmetric communication graph contains the MST and is connected; the
 /// construction is the classical 2-approximation for minimum-cost symmetric
-/// range assignment.
+/// range assignment. Points must lie inside `box`.
 template <int D>
-RangeAssignment mst_assignment(std::span<const Point<D>> points);
+RangeAssignment mst_assignment(std::span<const Point<D>> points, const Box<D>& box);
 
 /// True iff the symmetric communication graph induced by `assignment` over
 /// `points` (edge iff dist <= min(r_u, r_v)) is connected. O(n^2).
@@ -66,23 +68,25 @@ bool symmetric_graph_connected(std::span<const Point<D>> points,
 /// 1 - cost_mst / cost_homogeneous, at path-loss exponent alpha. Returns 0
 /// for n <= 1 (both costs are 0).
 template <int D>
-double per_node_assignment_savings(std::span<const Point<D>> points, double alpha = 2.0);
+double per_node_assignment_savings(std::span<const Point<D>> points, const Box<D>& box,
+                                   double alpha = 2.0);
 
 // ---------------------------------------------------------------------------
 // Template definitions.
 // ---------------------------------------------------------------------------
 
 template <int D>
-RangeAssignment homogeneous_assignment(std::span<const Point<D>> points) {
-  const auto mst = euclidean_mst(points);
-  const double rc = tree_bottleneck(mst);
+RangeAssignment homogeneous_assignment(std::span<const Point<D>> points, const Box<D>& box) {
+  EmstEngine<D> engine;
+  const double rc = tree_bottleneck(engine.euclidean(points, box));
   return RangeAssignment(std::vector<double>(points.size(), rc));
 }
 
 template <int D>
-RangeAssignment mst_assignment(std::span<const Point<D>> points) {
+RangeAssignment mst_assignment(std::span<const Point<D>> points, const Box<D>& box) {
   std::vector<double> ranges(points.size(), 0.0);
-  for (const WeightedEdge& e : euclidean_mst(points)) {
+  EmstEngine<D> engine;
+  for (const WeightedEdge& e : engine.euclidean(points, box)) {
     ranges[e.u] = std::max(ranges[e.u], e.weight);
     ranges[e.v] = std::max(ranges[e.v], e.weight);
   }
@@ -106,10 +110,11 @@ bool symmetric_graph_connected(std::span<const Point<D>> points,
 }
 
 template <int D>
-double per_node_assignment_savings(std::span<const Point<D>> points, double alpha) {
+double per_node_assignment_savings(std::span<const Point<D>> points, const Box<D>& box,
+                                   double alpha) {
   if (points.size() <= 1) return 0.0;
-  const double homogeneous = homogeneous_assignment(points).cost(alpha);
-  const double per_node = mst_assignment(points).cost(alpha);
+  const double homogeneous = homogeneous_assignment(points, box).cost(alpha);
+  const double per_node = mst_assignment(points, box).cost(alpha);
   MANET_ENSURES(homogeneous > 0.0);
   return 1.0 - per_node / homogeneous;
 }

@@ -6,6 +6,7 @@
 
 #include "support/error.hpp"
 #include "topology/critical_range.hpp"
+#include "topology/mst.hpp"
 
 namespace manet {
 namespace {
@@ -15,8 +16,8 @@ MobileConnectivityTrace two_step_trace() {
   std::vector<LargestComponentCurve> curves;
   const std::vector<Point1> step_a = {{{0.0}}, {{1.0}}, {{2.0}}};
   const std::vector<Point1> step_b = {{{0.0}}, {{1.0}}, {{5.0}}};
-  curves.push_back(largest_component_curve<1>(step_a));
-  curves.push_back(largest_component_curve<1>(step_b));
+  curves.emplace_back(step_a.size(), euclidean_mst<1>(step_a));
+  curves.emplace_back(step_b.size(), euclidean_mst<1>(step_b));
   return MobileConnectivityTrace(3, std::move(curves));
 }
 

@@ -6,34 +6,36 @@
 #include <vector>
 
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "sim/deployment.hpp"
 #include "support/rng.hpp"
+#include "topology/mst.hpp"
 
 namespace manet {
 namespace {
 
 TEST(CriticalRange, TrivialPointSets) {
+  const Box2 box(10.0);
   const std::vector<Point2> none;
-  EXPECT_DOUBLE_EQ(critical_range<2>(none), 0.0);
+  EXPECT_DOUBLE_EQ(critical_range<2>(none, box), 0.0);
   const std::vector<Point2> one = {{{3.0, 3.0}}};
-  EXPECT_DOUBLE_EQ(critical_range<2>(one), 0.0);
+  EXPECT_DOUBLE_EQ(critical_range<2>(one, box), 0.0);
 }
 
 TEST(CriticalRange, OneDimensionEqualsLargestGap) {
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{4.0}}, {{4.5}}, {{10.0}}};
-  EXPECT_DOUBLE_EQ(critical_range<1>(points), 5.5);  // gap 4.5 -> 10.0
+  EXPECT_DOUBLE_EQ(critical_range<1>(points, Box1(10.0)), 5.5);  // gap 4.5 -> 10.0
 }
 
 TEST(CriticalRange, OneDimensionUnsortedInput) {
   const std::vector<Point1> points = {{{10.0}}, {{0.0}}, {{4.5}}, {{4.0}}, {{1.0}}};
-  EXPECT_DOUBLE_EQ(critical_range<1>(points), 5.5);
+  EXPECT_DOUBLE_EQ(critical_range<1>(points, Box1(10.0)), 5.5);
 }
 
 TEST(CriticalRange, TwoDimensionHandComputed) {
   // Three collinear points: critical range is the larger adjacent distance.
   const std::vector<Point2> points = {{{0.0, 0.0}}, {{2.0, 0.0}}, {{7.0, 0.0}}};
-  EXPECT_DOUBLE_EQ(critical_range<2>(points), 5.0);
+  EXPECT_DOUBLE_EQ(critical_range<2>(points, Box2(10.0)), 5.0);
 }
 
 TEST(CriticalRange, ConnectivityFlipsExactlyAtCriticalRange) {
@@ -41,18 +43,20 @@ TEST(CriticalRange, ConnectivityFlipsExactlyAtCriticalRange) {
   const Box2 box(100.0);
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(40, box, rng);
-    const double rc = critical_range<2>(points);
-    EXPECT_TRUE(analyze_components<2>(points, box, rc).connected());
-    EXPECT_FALSE(analyze_components<2>(points, box, rc * (1.0 - 1e-9)).connected());
+    const double rc = critical_range<2>(points, box);
+    EXPECT_TRUE(analyze_link_components<2>(points, box, UnitDiskLinkModel(rc)).connected());
+    EXPECT_FALSE(analyze_link_components<2>(points, box, UnitDiskLinkModel(rc * (1.0 - 1e-9)))
+                     .connected());
   }
 }
 
 TEST(CriticalRange, InvariantUnderTranslationWithinBox) {
+  const Box2 box(30.0);
   const std::vector<Point2> points = {{{1.0, 1.0}}, {{2.0, 3.0}}, {{5.0, 2.0}}};
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, box);
   std::vector<Point2> shifted;
   for (const auto& p : points) shifted.push_back(p + Point2{{10.0, 20.0}});
-  EXPECT_NEAR(critical_range<2>(shifted), rc, 1e-12);
+  EXPECT_NEAR(critical_range<2>(shifted, box), rc, 1e-12);
 }
 
 TEST(CriticalRange, MatchesMstBottleneckIn1D) {
@@ -61,21 +65,22 @@ TEST(CriticalRange, MatchesMstBottleneckIn1D) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto points = uniform_deployment(50, line, rng);
     const auto mst = euclidean_mst<1>(points);
-    EXPECT_NEAR(critical_range<1>(points), tree_bottleneck(mst), 1e-9);
+    EXPECT_NEAR(critical_range<1>(points, line), tree_bottleneck(mst), 1e-9);
   }
 }
 
 TEST(IsolationRange, TrivialPointSets) {
+  const Box2 box(10.0);
   const std::vector<Point2> none;
-  EXPECT_DOUBLE_EQ(isolation_range<2>(none), 0.0);
+  EXPECT_DOUBLE_EQ(isolation_range<2>(none, box), 0.0);
   const std::vector<Point2> one = {{{1.0, 1.0}}};
-  EXPECT_DOUBLE_EQ(isolation_range<2>(one), 0.0);
+  EXPECT_DOUBLE_EQ(isolation_range<2>(one, box), 0.0);
 }
 
 TEST(IsolationRange, HandComputed) {
   // Points at 0, 1, 5: nearest-neighbor distances are 1, 1, 4.
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{5.0}}};
-  EXPECT_DOUBLE_EQ(isolation_range<1>(points), 4.0);
+  EXPECT_DOUBLE_EQ(isolation_range<1>(points, Box1(10.0)), 4.0);
 }
 
 TEST(IsolationRange, IsALowerBoundOnCriticalRange) {
@@ -83,7 +88,7 @@ TEST(IsolationRange, IsALowerBoundOnCriticalRange) {
   const Box2 box(100.0);
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(30, box, rng);
-    EXPECT_LE(isolation_range<2>(points), critical_range<2>(points) + 1e-12);
+    EXPECT_LE(isolation_range<2>(points, box), critical_range<2>(points, box) + 1e-12);
   }
 }
 
@@ -91,28 +96,31 @@ TEST(IsolationRange, NoIsolatedNodeAtThatRange) {
   Rng rng(8);
   const Box2 box(100.0);
   const auto points = uniform_deployment(25, box, rng);
-  const double iso = isolation_range<2>(points);
-  const ComponentSummary at = analyze_components<2>(points, box, iso);
+  const double iso = isolation_range<2>(points, box);
+  const ComponentSummary at = analyze_link_components<2>(points, box, UnitDiskLinkModel(iso));
   EXPECT_EQ(at.isolated_count, 0u);
   // Just below, at least one node is isolated.
-  const ComponentSummary below = analyze_components<2>(points, box, iso * (1.0 - 1e-9));
+  const ComponentSummary below =
+      analyze_link_components<2>(points, box, UnitDiskLinkModel(iso * (1.0 - 1e-9)));
   EXPECT_GE(below.isolated_count, 1u);
 }
 
 TEST(IsolationRange, EqualsCriticalRangeWhenLastObstacleIsALoneNode) {
   // Chain plus one distant node: the critical range is set by reaching the
   // stray node, which is also the isolation range.
+  const Box1 line(10.0);
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{2.0}}, {{10.0}}};
-  EXPECT_DOUBLE_EQ(isolation_range<1>(points), 8.0);
-  EXPECT_DOUBLE_EQ(critical_range<1>(points), 8.0);
+  EXPECT_DOUBLE_EQ(isolation_range<1>(points, line), 8.0);
+  EXPECT_DOUBLE_EQ(critical_range<1>(points, line), 8.0);
 }
 
 TEST(IsolationRange, StrictlyBelowCriticalRangeForSplitClusters) {
   // Two pairs far apart: nobody is isolated at range 1, but connectivity
   // needs the big bridge.
+  const Box1 line(64.0);
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{50.0}}, {{51.0}}};
-  EXPECT_DOUBLE_EQ(isolation_range<1>(points), 1.0);
-  EXPECT_DOUBLE_EQ(critical_range<1>(points), 49.0);
+  EXPECT_DOUBLE_EQ(isolation_range<1>(points, line), 1.0);
+  EXPECT_DOUBLE_EQ(critical_range<1>(points, line), 49.0);
 }
 
 TEST(LargestComponentCurve, SingletonAndEmpty) {
@@ -135,7 +143,7 @@ TEST(LargestComponentCurve, RejectsWrongEdgeCount) {
 TEST(LargestComponentCurve, StepFunctionOfCollinearPoints) {
   // Points at 0, 1, 3, 6 on a line: MST edges 1, 2, 3.
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{3.0}}, {{6.0}}};
-  const auto curve = largest_component_curve<1>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<1>(points));
 
   EXPECT_EQ(curve.largest_component_at(0.0), 1u);
   EXPECT_EQ(curve.largest_component_at(0.99), 1u);
@@ -156,7 +164,7 @@ TEST(LargestComponentCurve, EqualWeightMergesCollapse) {
   // Equally spaced points: all MST edges have the same weight; the curve
   // must jump straight from 1 to n at that weight.
   const std::vector<Point1> points = {{{0.0}}, {{2.0}}, {{4.0}}, {{6.0}}};
-  const auto curve = largest_component_curve<1>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<1>(points));
   EXPECT_EQ(curve.largest_component_at(1.999), 1u);
   EXPECT_EQ(curve.largest_component_at(2.0), 4u);
   ASSERT_EQ(curve.breakpoints().size(), 2u);
@@ -167,9 +175,10 @@ TEST(LargestComponentCurve, MatchesDirectComponentAnalysis) {
   const Box2 box(100.0);
   for (int trial = 0; trial < 10; ++trial) {
     const auto points = uniform_deployment(35, box, rng);
-    const auto curve = largest_component_curve<2>(points);
+    const LargestComponentCurve curve(points.size(), euclidean_mst<2>(points));
     for (double r : {5.0, 10.0, 20.0, 40.0, 80.0}) {
-      const ComponentSummary summary = analyze_components<2>(points, box, r);
+      const ComponentSummary summary =
+          analyze_link_components<2>(points, box, UnitDiskLinkModel(r));
       EXPECT_EQ(curve.largest_component_at(r), summary.largest_size)
           << "trial=" << trial << " r=" << r;
     }
@@ -180,7 +189,7 @@ TEST(LargestComponentCurve, RangeForSizeIsExactThreshold) {
   Rng rng(4);
   const Box2 box(50.0);
   const auto points = uniform_deployment(30, box, rng);
-  const auto curve = largest_component_curve<2>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<2>(points));
   for (std::size_t target : {5u, 15u, 25u, 30u}) {
     const double r = curve.range_for_size(target);
     EXPECT_GE(curve.largest_component_at(r), target);
@@ -192,7 +201,7 @@ TEST(LargestComponentCurve, RangeForSizeIsExactThreshold) {
 
 TEST(LargestComponentCurve, RangeForSizeRejectsBadTargets) {
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}};
-  const auto curve = largest_component_curve<1>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<1>(points));
   EXPECT_THROW(curve.range_for_size(0), ContractViolation);
   EXPECT_THROW(curve.range_for_size(3), ContractViolation);
 }
@@ -202,8 +211,8 @@ TEST(LargestComponentCurve, CriticalRangeMatchesStandalone) {
   const Box2 box(80.0);
   for (int trial = 0; trial < 10; ++trial) {
     const auto points = uniform_deployment(25, box, rng);
-    const auto curve = largest_component_curve<2>(points);
-    EXPECT_NEAR(curve.critical_range(), critical_range<2>(points), 1e-9);
+    const LargestComponentCurve curve(points.size(), euclidean_mst<2>(points));
+    EXPECT_NEAR(curve.critical_range(), critical_range<2>(points, box), 1e-9);
   }
 }
 
@@ -211,7 +220,7 @@ TEST(LargestComponentCurve, BreakpointsAreMonotone) {
   Rng rng(6);
   const Box2 box(60.0);
   const auto points = uniform_deployment(40, box, rng);
-  const auto curve = largest_component_curve<2>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<2>(points));
   const auto bps = curve.breakpoints();
   for (std::size_t i = 1; i < bps.size(); ++i) {
     EXPECT_GT(bps[i].range, bps[i - 1].range);

@@ -304,7 +304,6 @@ TEST(EmstGrid, NearestNeighborRangeMatchesBruteForce) {
     EXPECT_EQ(engine.max_nearest_neighbor_range(points, box), brute_force_isolation(points))
         << "n=" << n;
     EXPECT_EQ(isolation_range<2>(points, box), brute_force_isolation(points));
-    EXPECT_EQ(isolation_range<2>(points), brute_force_isolation(points));
   }
   // Clustered sets: a lone far cluster forces extra doubling rounds in the
   // nearest-neighbor search too.
@@ -314,23 +313,17 @@ TEST(EmstGrid, NearestNeighborRangeMatchesBruteForce) {
   EXPECT_EQ(engine.max_nearest_neighbor_range(clustered, box), brute_force_isolation(clustered));
 }
 
-TEST(EmstGrid, IsolationRangeWithoutBoxHandlesNegativeCoordinates) {
-  // Negative coordinates fall outside every deployment box, so the box-less
-  // overload must take its dense path and still be exact.
-  const std::vector<Point2> points = {
-      {{-5.0, -5.0}}, {{-4.0, -5.0}}, {{3.0, 2.0}}, {{3.5, 2.0}}, {{10.0, -1.0}}};
-  EXPECT_EQ(isolation_range<2>(points), brute_force_isolation(points));
-}
-
 TEST(EmstGrid, CriticalRangeOverloadsAgree) {
+  // The critical-range front-end is bit-identical to the bottleneck of the
+  // dense reference MST.
   Rng rng(77);
   for (int rep = 0; rep < 5; ++rep) {
     const Box2 box(60.0);
     const auto points = uniform_deployment(90, box, rng);
-    EXPECT_EQ(critical_range<2>(points, box), critical_range<2>(points));
+    EXPECT_EQ(critical_range<2>(points, box), tree_bottleneck(euclidean_mst<2>(points)));
     const Box3 box3(30.0);
     const auto points3 = uniform_deployment(64, box3, rng);
-    EXPECT_EQ(critical_range<3>(points3, box3), critical_range<3>(points3));
+    EXPECT_EQ(critical_range<3>(points3, box3), tree_bottleneck(euclidean_mst<3>(points3)));
   }
 }
 
@@ -340,8 +333,11 @@ TEST(EmstGrid, WorkspaceCurveBuilderMatchesLegacyBuilder) {
   TraceWorkspace<2> workspace;
   for (std::size_t n : {2u, 33u, 120u}) {
     const auto points = uniform_deployment(n, box, rng);
-    const auto legacy = largest_component_curve<2>(points);
-    const auto one_shot = largest_component_curve<2>(points, box);
+    const LargestComponentCurve legacy(n, euclidean_mst<2>(points));
+    EmstEngine<2> engine;
+    UnionFind dsu(n);
+    std::vector<LargestComponentCurve::Breakpoint> scratch;
+    const LargestComponentCurve one_shot(n, engine.euclidean(points, box), dsu, scratch);
     const auto pooled = kinetic_component_curve<2>(points, box, workspace, /*first_step=*/true);
     for (const auto* curve : {&one_shot, &pooled}) {
       const auto expected = legacy.breakpoints();

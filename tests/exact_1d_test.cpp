@@ -24,7 +24,7 @@ double monte_carlo_connected(std::uint64_t n, double r, double l, std::size_t tr
   std::size_t connected = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     const auto points = uniform_deployment(n, line, rng);
-    if (critical_range<1>(points) <= r) ++connected;
+    if (critical_range<1>(points, line) <= r) ++connected;
   }
   return static_cast<double>(connected) / static_cast<double>(trials);
 }
@@ -138,7 +138,7 @@ TEST(ExpectedCriticalRange1D, MatchesMonteCarlo) {
   struct { double total; int count; } sum{0.0, 0};
   for (int t = 0; t < 20000; ++t) {
     const auto points = uniform_deployment(n, line, rng);
-    sum.total += critical_range<1>(points);
+    sum.total += critical_range<1>(points, line);
     ++sum.count;
   }
   EXPECT_NEAR(expected_critical_range(n, l), sum.total / sum.count, 0.15);

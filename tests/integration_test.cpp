@@ -7,7 +7,7 @@
 #include "core/mtrm.hpp"
 #include "core/theory.hpp"
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "mobility/factory.hpp"
 #include "occupancy/exact_1d.hpp"
 #include "occupancy/gap_pattern.hpp"
@@ -29,7 +29,7 @@ TEST(Integration, ExactCriticalRangeMatchesBisectionOnStationaryDeployments) {
   const Box2 box(200.0);
   for (int trial = 0; trial < 10; ++trial) {
     const auto points = uniform_deployment(30, box, rng);
-    const double exact = critical_range<2>(points);
+    const double exact = critical_range<2>(points, box);
 
     BisectionOptions options;
     options.lo = 0.0;
@@ -37,7 +37,8 @@ TEST(Integration, ExactCriticalRangeMatchesBisectionOnStationaryDeployments) {
     options.tolerance = 1e-9;
     options.max_iterations = 128;
     const auto bisected = bisect_min_range(options, [&](double r) {
-      return r > 0.0 && analyze_components<2>(points, box, r).connected();
+      return r > 0.0 &&
+             analyze_link_components<2>(points, box, UnitDiskLinkModel(r)).connected();
     });
     EXPECT_NEAR(bisected.range, exact, 1e-6) << "trial " << trial;
   }
@@ -108,7 +109,7 @@ TEST(Integration, GapPatternImpliesDisconnection) {
     const auto bits = gap_pattern::occupancy_bits(points, l, C);
     if (gap_pattern::has_gap_pattern(bits)) {
       ++pattern_count;
-      EXPECT_GT(critical_range<1>(points), r)
+      EXPECT_GT(critical_range<1>(points, line), r)
           << "pattern present but graph connected at r";
     }
   }
@@ -128,7 +129,7 @@ TEST(Integration, DisconnectionWithoutGapPatternExists) {
   for (int t = 0; t < 5000 && found == 0; ++t) {
     const auto points = uniform_deployment(6, line, rng);
     const auto bits = gap_pattern::occupancy_bits(points, l, C);
-    if (!gap_pattern::has_gap_pattern(bits) && critical_range<1>(points) > r) ++found;
+    if (!gap_pattern::has_gap_pattern(bits) && critical_range<1>(points, line) > r) ++found;
   }
   EXPECT_GT(found, 0);
 }
@@ -147,7 +148,7 @@ TEST(Integration, Theorem5ThresholdDirection1D) {
     const int trials = 400;
     for (int t = 0; t < trials; ++t) {
       const auto points = uniform_deployment(n, line, rng);
-      if (critical_range<1>(points) <= r) ++connected;
+      if (critical_range<1>(points, line) <= r) ++connected;
     }
     return static_cast<double>(connected) / trials;
   };

@@ -1,7 +1,6 @@
 // Differential suite of the LinkModel seam (graph/link_model.hpp):
-//  - UnitDiskLinkModel is pinned bitwise-identical to the legacy
-//    proximity_edges / analyze_components path across dimensions,
-//    duplicates and exact-boundary configurations;
+//  - UnitDiskLinkModel is pinned to a brute-force all-pairs oracle across
+//    dimensions, duplicates and exact-boundary configurations;
 //  - shadowing links are deterministic in the fading seed and degenerate
 //    exactly to the unit disk at sigma = 0;
 //  - the SCC engine is checked against a brute-force reachability oracle;
@@ -17,17 +16,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.hpp"
 #include "geometry/point.hpp"
-#include "graph/proximity.hpp"
+#include "graph/metrics.hpp"
 #include "graph/scc.hpp"
 #include "sim/deployment.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
-#include "topology/link_critical_range.hpp"
 #include "topology/range_assignment.hpp"
 
 namespace manet {
@@ -42,17 +44,49 @@ void expect_summary_equal(const ComponentSummary& a, const ComponentSummary& b) 
   EXPECT_EQ(a.largest_scc_size, b.largest_scc_size);
 }
 
+using EdgeList = std::vector<std::pair<std::size_t, std::size_t>>;
+
+// Brute-force all-pairs oracle of the unit-disk rule: edge iff dist <= r,
+// compared in squared space (the documented tie rule). Lexicographic order.
 template <int D>
-void expect_unit_disk_matches_legacy(std::span<const Point<D>> points, const Box<D>& box,
-                                     double radius) {
+EdgeList brute_force_unit_disk_edges(std::span<const Point<D>> points, double radius) {
+  EdgeList edges;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t j = i + 1; j < points.size(); ++j) {
+      if (squared_distance(points[i], points[j]) <= radius * radius) edges.emplace_back(i, j);
+    }
+  }
+  return edges;
+}
+
+// The component census of the oracle's edge set, read off its CSR graph.
+template <int D>
+ComponentSummary brute_force_unit_disk_summary(std::span<const Point<D>> points,
+                                               double radius) {
+  const AdjacencyGraph graph(points.size(), brute_force_unit_disk_edges<D>(points, radius));
+  const std::vector<std::size_t> sizes = component_sizes(graph);
+  ComponentSummary summary;
+  summary.node_count = points.size();
+  summary.component_count = summary.scc_count = sizes.size();
+  summary.largest_size = summary.largest_scc_size = sizes.empty() ? 0 : sizes.front();
+  for (std::size_t v = 0; v < graph.vertex_count(); ++v) {
+    if (graph.degree(v) == 0) ++summary.isolated_count;
+  }
+  return summary;
+}
+
+template <int D>
+void expect_unit_disk_matches_brute_force(std::span<const Point<D>> points, const Box<D>& box,
+                                          double radius) {
   const UnitDiskLinkModel model(radius);
-  // Bitwise-identical edge sets in identical order (same grid enumeration).
-  EXPECT_EQ(link_model_edges<D>(points, box, model),
-            proximity_edges<D>(points, box, radius));
+  // Same edge set as the oracle, each pair once as (u < v).
+  const EdgeList edges = link_model_edges<D>(points, box, model);
+  EdgeList sorted = edges;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, brute_force_unit_disk_edges<D>(points, radius));
   expect_summary_equal(analyze_link_components<D>(points, box, model),
-                       analyze_components<D>(points, box, radius));
+                       brute_force_unit_disk_summary<D>(points, radius));
   // Every symmetric model's arcs are the edges, both orientations.
-  const auto edges = proximity_edges<D>(points, box, radius);
   const auto arcs = link_model_arcs<D>(points, box, model);
   ASSERT_EQ(arcs.size(), 2 * edges.size());
   for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -61,36 +95,36 @@ void expect_unit_disk_matches_legacy(std::span<const Point<D>> points, const Box
   }
 }
 
-TEST(UnitDiskLinkModel, MatchesLegacyAcrossDimensionsAndRadii) {
+TEST(UnitDiskLinkModel, MatchesBruteForceAcrossDimensionsAndRadii) {
   Rng rng(101);
   for (std::size_t n : {0ul, 1ul, 2ul, 7ul, 60ul}) {
     {
       const Box<1> box(50.0);
       const auto points = uniform_deployment<1>(n, box, rng);
       for (double radius : {0.5, 3.0, 60.0}) {
-        expect_unit_disk_matches_legacy<1>(points, box, radius);
+        expect_unit_disk_matches_brute_force<1>(points, box, radius);
       }
     }
     {
       const Box<2> box(50.0);
       const auto points = uniform_deployment<2>(n, box, rng);
       for (double radius : {0.5, 8.0, 80.0}) {
-        expect_unit_disk_matches_legacy<2>(points, box, radius);
+        expect_unit_disk_matches_brute_force<2>(points, box, radius);
       }
     }
     {
       const Box<3> box(30.0);
       const auto points = uniform_deployment<3>(n, box, rng);
       for (double radius : {0.5, 10.0, 60.0}) {
-        expect_unit_disk_matches_legacy<3>(points, box, radius);
+        expect_unit_disk_matches_brute_force<3>(points, box, radius);
       }
     }
   }
 }
 
-TEST(UnitDiskLinkModel, MatchesLegacyOnDuplicatesAndBoundaryTies) {
+TEST(UnitDiskLinkModel, MatchesBruteForceOnDuplicatesAndBoundaryTies) {
   // Duplicate points (distance 0) and a pair at exactly the radius: the tie
-  // must land on the same side in both paths (<=, compared in squared
+  // must land on the same side as the oracle's (<=, compared in squared
   // space).
   const Box<2> box(20.0);
   const std::vector<Point2> points = {
@@ -99,7 +133,7 @@ TEST(UnitDiskLinkModel, MatchesLegacyOnDuplicatesAndBoundaryTies) {
       {{19.0, 19.0}},               // far corner
   };
   for (double radius : {3.0, 4.0, 5.0, std::nextafter(5.0, 0.0), 25.5}) {
-    expect_unit_disk_matches_legacy<2>(points, box, radius);
+    expect_unit_disk_matches_brute_force<2>(points, box, radius);
   }
 }
 
@@ -198,10 +232,11 @@ TEST(ShadowingLinkModel, SigmaZeroDegeneratesToUnitDisk) {
   const ShadowingLinkModel shadowing(params);
   EXPECT_DOUBLE_EQ(shadowing.pair_gain(3, 9), 1.0);
   EXPECT_DOUBLE_EQ(shadowing.max_link_distance(), 12.0);
+  const UnitDiskLinkModel unit_disk(12.0);
   EXPECT_EQ(link_model_edges<2>(points, box, shadowing),
-            proximity_edges<2>(points, box, 12.0));
+            link_model_edges<2>(points, box, unit_disk));
   expect_summary_equal(analyze_link_components<2>(points, box, shadowing),
-                       analyze_components<2>(points, box, 12.0));
+                       analyze_link_components<2>(points, box, unit_disk));
 }
 
 TEST(ShadowingLinkModel, NoLinkBeyondMaxLinkDistance) {
@@ -231,6 +266,20 @@ TEST(ShadowingParams, Validation) {
   params = {};
   params.z_clip = 0.0;
   EXPECT_THROW(params.validate(), ConfigError);
+  // Infinity (CLI parsing accepts "inf") in any field.
+  for (double ShadowingParams::*field :
+       {&ShadowingParams::reference_range, &ShadowingParams::sigma_db,
+        &ShadowingParams::path_loss_exponent, &ShadowingParams::z_clip}) {
+    params = {};
+    params.*field = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(params.validate(), ConfigError);
+  }
+  // Finite fields whose maximum fading gain overflows: 10^(1e3 * 1e3 / 30).
+  params = {};
+  params.sigma_db = 1e3;
+  params.z_clip = 1e3;
+  EXPECT_THROW(params.validate(), ConfigError);
+  EXPECT_THROW(ShadowingLinkFamily{params}, ConfigError);
   params = {};
   EXPECT_NO_THROW(params.validate());
   EXPECT_GT(params.max_gain_factor(), 1.0);
@@ -383,9 +432,11 @@ TEST(HeterogeneousRangeLinkModel, EqualRangesMatchUnitDisk) {
   const double r = 14.0;
   const HeterogeneousRangeLinkModel hetero(
       RangeAssignment(std::vector<double>(points.size(), r)));
-  EXPECT_EQ(link_model_edges<2>(points, box, hetero), proximity_edges<2>(points, box, r));
+  const UnitDiskLinkModel unit_disk(r);
+  EXPECT_EQ(link_model_edges<2>(points, box, hetero),
+            link_model_edges<2>(points, box, unit_disk));
   const ComponentSummary summary = analyze_link_components<2>(points, box, hetero);
-  expect_summary_equal(summary, analyze_components<2>(points, box, r));
+  expect_summary_equal(summary, analyze_link_components<2>(points, box, unit_disk));
 }
 
 TEST(HeterogeneousRangeLinkModel, OneWayBridgeGadgetIsStrongButNotWeak) {
@@ -532,6 +583,17 @@ TEST(HeterogeneousRangeLinkFamily, PerNodeFactorsAreSeedDeterministic) {
     EXPECT_LE(ha->assignment().range(i), 10.0 * 1.0);
   }
   EXPECT_DOUBLE_EQ(family.hi_factor(), 2.0);
+}
+
+TEST(HeterogeneousRangeLinkFamily, RejectsNonFiniteFactors) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(HeterogeneousRangeLinkFamily(0.5, kInf), ConfigError);
+  EXPECT_THROW(HeterogeneousRangeLinkFamily(kInf, kInf), ConfigError);
+  EXPECT_THROW(HeterogeneousRangeLinkFamily(0.5, std::numeric_limits<double>::quiet_NaN()),
+               ConfigError);
+  LinkModelMenu menu;
+  menu.max_range_factor = kInf;
+  EXPECT_THROW(make_link_model_family("heterogeneous", menu), ConfigError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "mobility/factory.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "topology/mst.hpp"
 
 namespace manet {
 namespace {
@@ -18,7 +19,7 @@ MobileConnectivityTrace trace_with_critical_radii(const std::vector<double>& gap
   std::vector<LargestComponentCurve> curves;
   for (double gap : gaps) {
     const std::vector<Point1> points = {{{0.0}}, {{gap}}};
-    curves.push_back(largest_component_curve<1>(points));
+    curves.emplace_back(points.size(), euclidean_mst<1>(points));
   }
   return MobileConnectivityTrace(2, std::move(curves));
 }
@@ -28,7 +29,7 @@ TEST(MobileConnectivityTrace, RejectsEmptyAndMismatchedCurves) {
 
   std::vector<LargestComponentCurve> wrong_n;
   const std::vector<Point1> three = {{{0.0}}, {{1.0}}, {{2.0}}};
-  wrong_n.push_back(largest_component_curve<1>(three));
+  wrong_n.emplace_back(three.size(), euclidean_mst<1>(three));
   EXPECT_THROW(MobileConnectivityTrace(2, std::move(wrong_n)), ContractViolation);
 }
 

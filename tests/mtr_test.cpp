@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "sim/deployment.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -42,7 +42,8 @@ TEST(EstimateMtr, ResultConnectsTheTargetFraction) {
   const int checks = 300;
   for (int t = 0; t < checks; ++t) {
     const auto points = uniform_deployment(30, box, check_rng);
-    if (analyze_components<2>(points, box, estimate.range).connected()) ++connected;
+    const UnitDiskLinkModel link(estimate.range);
+    if (analyze_link_components<2>(points, box, link).connected()) ++connected;
   }
   const double fraction = static_cast<double>(connected) / checks;
   EXPECT_NEAR(fraction, 0.9, 0.07);

@@ -179,7 +179,7 @@ TEST(ParallelDeterminism, McThresholdSearchIsBitIdenticalAcrossThreadCounts) {
   mc.target_mean = 0.9;
   const TrialStatistic connected_indicator = [&box](double range, std::size_t, Rng& rng) {
     const auto points = uniform_deployment(12, box, rng);
-    return critical_range<2>(points) <= range ? 1.0 : 0.0;
+    return critical_range<2>(points, box) <= range ? 1.0 : 0.0;
   };
 
   std::vector<BisectionResult> results;

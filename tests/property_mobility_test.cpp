@@ -216,7 +216,7 @@ TEST(ConnectivityMonotonicity, ProbabilityGrowsWithNodeCount) {
     const int trials = 300;
     for (int t = 0; t < trials; ++t) {
       const auto points = uniform_deployment(n, box, rng);
-      if (critical_range<2>(std::span<const Point2>(points)) <= range) ++connected;
+      if (critical_range<2>(points, box) <= range) ++connected;
     }
     const double p = static_cast<double>(connected) / trials;
     EXPECT_GE(p, previous - 0.05) << "n=" << n;  // allow small MC noise

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "mobility/factory.hpp"
 #include "occupancy/gap_pattern.hpp"
 #include "occupancy/occupancy.hpp"
@@ -32,20 +32,22 @@ TEST_P(CriticalRangeProperty, ConnectivityIsMonotoneAndFlipsAtCriticalRange) {
   Rng rng(seed);
   const Box2 box(100.0);
   const auto points = uniform_deployment(n, box, rng);
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, box);
 
   if (n <= 1) {
     EXPECT_DOUBLE_EQ(rc, 0.0);
     return;
   }
   EXPECT_GT(rc, 0.0);
-  EXPECT_TRUE(analyze_components<2>(points, box, rc).connected());
-  EXPECT_FALSE(analyze_components<2>(points, box, rc * 0.999).connected());
+  EXPECT_TRUE(analyze_link_components<2>(points, box, UnitDiskLinkModel(rc)).connected());
+  EXPECT_FALSE(
+      analyze_link_components<2>(points, box, UnitDiskLinkModel(rc * 0.999)).connected());
 
   // Monotonicity over a geometric ladder of ranges.
   bool was_connected = false;
   for (double r = rc / 8.0; r <= rc * 4.0; r *= 1.5) {
-    const bool connected = analyze_components<2>(points, box, r).connected();
+    const bool connected =
+        analyze_link_components<2>(points, box, UnitDiskLinkModel(r)).connected();
     if (was_connected) {
       EXPECT_TRUE(connected) << "connectivity lost as r grew";
     }
@@ -59,12 +61,12 @@ TEST_P(CriticalRangeProperty, LargestComponentCurveIsConsistentWithDirectAnalysi
   Rng rng(seed + 1000);
   const Box2 box(100.0);
   const auto points = uniform_deployment(n, box, rng);
-  const auto curve = largest_component_curve<2>(points);
+  const LargestComponentCurve curve(points.size(), euclidean_mst<2>(points));
   const double rc = curve.critical_range();
 
   for (double r : {rc * 0.25, rc * 0.5, rc * 0.75, rc, rc * 1.5}) {
     if (r <= 0.0) continue;
-    const auto summary = analyze_components<2>(points, box, r);
+    const auto summary = analyze_link_components<2>(points, box, UnitDiskLinkModel(r));
     EXPECT_EQ(curve.largest_component_at(r), summary.largest_size) << "r=" << r;
   }
 }
@@ -98,7 +100,7 @@ TEST_P(IsometryProperty, CriticalRangeIsIsometryInvariant) {
   Rng rng(GetParam());
   const Box2 box(50.0);
   const auto points = uniform_deployment(20, box, rng);
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, box);
 
   // Rotation by 90 degrees inside a containing box plus translation.
   std::vector<Point2> rotated;
@@ -107,19 +109,20 @@ TEST_P(IsometryProperty, CriticalRangeIsIsometryInvariant) {
     rotated.push_back({{50.0 - p[1], p[0]}});
     reflected.push_back({{50.0 - p[0], p[1]}});
   }
-  EXPECT_NEAR(critical_range<2>(rotated), rc, 1e-9);
-  EXPECT_NEAR(critical_range<2>(reflected), rc, 1e-9);
+  // Both images stay inside the same box.
+  EXPECT_NEAR(critical_range<2>(rotated, box), rc, 1e-9);
+  EXPECT_NEAR(critical_range<2>(reflected, box), rc, 1e-9);
 }
 
 TEST_P(IsometryProperty, CriticalRangeScalesLinearly) {
   Rng rng(GetParam() + 77);
   const Box2 box(50.0);
   const auto points = uniform_deployment(15, box, rng);
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, box);
 
   std::vector<Point2> scaled;
   for (const auto& p : points) scaled.push_back(p * 3.0);
-  EXPECT_NEAR(critical_range<2>(scaled), 3.0 * rc, 1e-9);
+  EXPECT_NEAR(critical_range<2>(scaled, Box2(3.0 * box.side())), 3.0 * rc, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, IsometryProperty,
@@ -274,10 +277,11 @@ void check_dimension(std::uint64_t seed) {
   Rng rng(seed);
   const Box<D> box(64.0);
   const auto points = uniform_deployment<D>(12, box, rng);
-  const double rc = critical_range<D>(points);
+  const double rc = critical_range<D>(points, box);
   EXPECT_GT(rc, 0.0);
-  EXPECT_TRUE(analyze_components<D>(points, box, rc).connected());
-  EXPECT_FALSE(analyze_components<D>(points, box, rc * 0.999).connected());
+  EXPECT_TRUE(analyze_link_components<D>(points, box, UnitDiskLinkModel(rc)).connected());
+  EXPECT_FALSE(
+      analyze_link_components<D>(points, box, UnitDiskLinkModel(rc * 0.999)).connected());
 }
 
 TEST(DimensionSweep, CriticalRangeFlipsConnectivityInAllDimensions) {
@@ -297,8 +301,8 @@ TEST(DimensionSweep, HigherDimensionNeedsLargerRangeAtEqualDensity) {
   for (int t = 0; t < 40; ++t) {
     const Box1 line(64.0);
     const Box3 cube(64.0);
-    sum_1d += critical_range<1>(uniform_deployment<1>(16, line, rng));
-    sum_3d += critical_range<3>(uniform_deployment<3>(16, cube, rng));
+    sum_1d += critical_range<1>(uniform_deployment<1>(16, line, rng), line);
+    sum_3d += critical_range<3>(uniform_deployment<3>(16, cube, rng), cube);
   }
   EXPECT_LT(sum_1d, sum_3d);
 }

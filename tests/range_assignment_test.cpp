@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -10,6 +13,8 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
+#include "topology/emst_grid.hpp"
+#include "topology/mst.hpp"
 
 namespace manet {
 namespace {
@@ -45,7 +50,7 @@ TEST(RangeAssignment, EmptyAssignment) {
 
 TEST(HomogeneousAssignment, EveryNodeGetsTheCriticalRange) {
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{4.0}}};
-  const RangeAssignment assignment = homogeneous_assignment<1>(points);
+  const RangeAssignment assignment = homogeneous_assignment<1>(points, Box1(4.0));
   ASSERT_EQ(assignment.node_count(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(assignment.range(i), 3.0);
 }
@@ -53,7 +58,7 @@ TEST(HomogeneousAssignment, EveryNodeGetsTheCriticalRange) {
 TEST(MstAssignment, HandComputedLine) {
   // Points at 0, 1, 4: MST edges (0-1, w=1), (1-2, w=3).
   const std::vector<Point1> points = {{{0.0}}, {{1.0}}, {{4.0}}};
-  const RangeAssignment assignment = mst_assignment<1>(points);
+  const RangeAssignment assignment = mst_assignment<1>(points, Box1(4.0));
   EXPECT_DOUBLE_EQ(assignment.range(0), 1.0);  // incident: edge of weight 1
   EXPECT_DOUBLE_EQ(assignment.range(1), 3.0);  // incident: weights 1 and 3
   EXPECT_DOUBLE_EQ(assignment.range(2), 3.0);
@@ -64,7 +69,7 @@ TEST(MstAssignment, SymmetricGraphIsAlwaysConnected) {
   const Box2 box(100.0);
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(30, box, rng);
-    const RangeAssignment assignment = mst_assignment<2>(points);
+    const RangeAssignment assignment = mst_assignment<2>(points, box);
     EXPECT_TRUE(symmetric_graph_connected<2>(points, assignment)) << "trial " << trial;
   }
 }
@@ -74,8 +79,8 @@ TEST(MstAssignment, NeverCostsMoreThanHomogeneous) {
   const Box2 box(100.0);
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(25, box, rng);
-    const double homogeneous = homogeneous_assignment<2>(points).cost();
-    const double per_node = mst_assignment<2>(points).cost();
+    const double homogeneous = homogeneous_assignment<2>(points, box).cost();
+    const double per_node = mst_assignment<2>(points, box).cost();
     EXPECT_LE(per_node, homogeneous + 1e-9);
   }
 }
@@ -84,8 +89,40 @@ TEST(MstAssignment, MaxRangeEqualsCriticalRange) {
   Rng rng(3);
   const Box2 box(80.0);
   const auto points = uniform_deployment(20, box, rng);
-  const RangeAssignment assignment = mst_assignment<2>(points);
-  EXPECT_NEAR(assignment.max_range(), critical_range<2>(points), 1e-12);
+  const RangeAssignment assignment = mst_assignment<2>(points, box);
+  EXPECT_NEAR(assignment.max_range(), critical_range<2>(points, box), 1e-12);
+}
+
+// The boxed assignments solve through EmstEngine; their ranges must be
+// bit-equal to assignments built from the dense reference MST, on both the
+// engine's dense path (n < kDenseCutoff) and its grid path.
+template <int D>
+void expect_assignments_match_dense_reference(std::uint64_t seed) {
+  Rng rng(seed);
+  const Box<D> box(100.0);
+  constexpr std::size_t kCutoff = EmstEngine<D>::kDenseCutoff;
+  for (std::size_t n : {std::size_t{2}, kCutoff - 1, kCutoff, 4 * kCutoff}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const auto points = uniform_deployment<D>(n, box, rng);
+      const auto reference = euclidean_mst<D>(points);
+      std::vector<double> per_node(n, 0.0);
+      for (const WeightedEdge& e : reference) {
+        per_node[e.u] = std::max(per_node[e.u], e.weight);
+        per_node[e.v] = std::max(per_node[e.v], e.weight);
+      }
+      const RangeAssignment mst = mst_assignment<D>(points, box);
+      const RangeAssignment common = homogeneous_assignment<D>(points, box);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(mst.range(i), per_node[i]) << "D=" << D << " n=" << n << " node " << i;
+        EXPECT_EQ(common.range(i), tree_bottleneck(reference)) << "D=" << D << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(MstAssignment, BoxedAssignmentsMatchDenseReferenceBitwise) {
+  expect_assignments_match_dense_reference<1>(61);
+  expect_assignments_match_dense_reference<2>(62);
 }
 
 TEST(SymmetricGraphConnected, ShrinkingOneRangeBreaksConnectivity) {
@@ -122,7 +159,7 @@ TEST(PerNodeAssignmentSavings, PositiveForRandomDeployments) {
   SavingsAccumulator total{0.0, 0};
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(30, box, rng);
-    const double savings = per_node_assignment_savings<2>(points);
+    const double savings = per_node_assignment_savings<2>(points, box);
     EXPECT_GE(savings, 0.0);
     EXPECT_LT(savings, 1.0);
     total.sum += savings;
@@ -135,15 +172,15 @@ TEST(PerNodeAssignmentSavings, PositiveForRandomDeployments) {
 
 TEST(PerNodeAssignmentSavings, ZeroForTrivialInputs) {
   const std::vector<Point2> one = {{{1.0, 1.0}}};
-  EXPECT_DOUBLE_EQ(per_node_assignment_savings<2>(one), 0.0);
+  EXPECT_DOUBLE_EQ(per_node_assignment_savings<2>(one, Box2(10.0)), 0.0);
 }
 
 TEST(PerNodeAssignmentSavings, GrowWithPathLossExponent) {
   Rng rng(5);
   const Box2 box(100.0);
   const auto points = uniform_deployment(30, box, rng);
-  const double at_2 = per_node_assignment_savings<2>(points, 2.0);
-  const double at_4 = per_node_assignment_savings<2>(points, 4.0);
+  const double at_2 = per_node_assignment_savings<2>(points, box, 2.0);
+  const double at_4 = per_node_assignment_savings<2>(points, box, 4.0);
   EXPECT_GT(at_4, at_2);
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "geometry/box.hpp"
-#include "graph/proximity.hpp"
+#include "graph/link_model.hpp"
 #include "sim/deployment.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -111,7 +111,8 @@ TEST(ArticulationPoints, MatchesNaiveOnRandomGeometricGraphs) {
   for (int trial = 0; trial < 15; ++trial) {
     const auto points = uniform_deployment(25, box, rng);
     const double radius = rng.uniform(8.0, 30.0);
-    const AdjacencyGraph graph = build_communication_graph<2>(points, box, radius);
+    const AdjacencyGraph graph =
+        build_link_communication_graph<2>(points, box, UnitDiskLinkModel(radius));
     const auto fast = articulation_points(graph);
     std::vector<std::size_t> naive;
     for (std::size_t v = 0; v < graph.vertex_count(); ++v) {
@@ -139,7 +140,8 @@ TEST(Bridges, MatchesNaiveOnRandomGeometricGraphs) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto points = uniform_deployment(20, box, rng);
     const double radius = rng.uniform(10.0, 30.0);
-    const AdjacencyGraph graph = build_communication_graph<2>(points, box, radius);
+    const AdjacencyGraph graph =
+        build_link_communication_graph<2>(points, box, UnitDiskLinkModel(radius));
 
     // Rebuild the edge list from adjacency for the naive check.
     std::vector<Edge> edges;
@@ -233,12 +235,14 @@ TEST(InjectFailures, DenseNetworksSurviveMoreRandomFailures) {
   Rng rng(2);
   const Box2 box(60.0);
   const auto points = uniform_deployment(40, box, rng);
-  const double rc = critical_range<2>(points);
+  const double rc = critical_range<2>(points, box);
 
   // At 1.5x the critical range the graph has slack; at exactly rc the
   // bottleneck edge makes it fragile.
-  const AdjacencyGraph dense = build_communication_graph<2>(points, box, rc * 1.5);
-  const AdjacencyGraph tight = build_communication_graph<2>(points, box, rc);
+  const AdjacencyGraph dense =
+      build_link_communication_graph<2>(points, box, UnitDiskLinkModel(rc * 1.5));
+  const AdjacencyGraph tight =
+      build_link_communication_graph<2>(points, box, UnitDiskLinkModel(rc));
 
   double dense_survived = 0.0;
   double tight_survived = 0.0;

@@ -80,7 +80,7 @@ TEST(TorusCriticalRange, NeverExceedsEuclideanCriticalRange) {
   for (int trial = 0; trial < 20; ++trial) {
     const auto points = uniform_deployment(20, box, rng);
     EXPECT_LE(torus_critical_range<2>(points, 64.0),
-              critical_range<2>(points) + 1e-12)
+              critical_range<2>(points, box) + 1e-12)
         << "trial " << trial;
   }
 }
@@ -89,7 +89,7 @@ TEST(TorusCriticalRange, HealsBoundaryGap) {
   // Two clusters pressed against opposite edges: Euclidean needs to bridge
   // the whole region, the torus wraps around cheaply.
   const std::vector<Point1> points = {{{0.1}}, {{0.2}}, {{99.8}}, {{99.9}}};
-  const double euclid = critical_range<1>(points);
+  const double euclid = critical_range<1>(points, Box1(100.0));
   const double torus = torus_critical_range<1>(points, 100.0);
   EXPECT_NEAR(euclid, 99.6, 1e-9);
   // Circular gaps are 0.1, 0.1, 0.2 (wrap) and 99.6; the MST drops the
@@ -101,7 +101,8 @@ TEST(TorusCriticalRange, EqualsEuclideanForCentralCluster) {
   // A cluster far from every border can't benefit from wrapping.
   const std::vector<Point2> points = {
       {{40.0, 40.0}}, {{42.0, 41.0}}, {{44.0, 39.0}}, {{41.0, 43.0}}};
-  EXPECT_NEAR(torus_critical_range<2>(points, 100.0), critical_range<2>(points), 1e-12);
+  EXPECT_NEAR(torus_critical_range<2>(points, 100.0), critical_range<2>(points, Box2(100.0)),
+              1e-12);
 }
 
 TEST(TorusCriticalRange, TrivialInputs) {
