@@ -4,6 +4,7 @@
 
 #include "core/energy.hpp"
 #include "sim/stationary_sample.hpp"
+#include "geometry/box.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 
@@ -124,6 +125,10 @@ std::vector<double> figure9_vmax_fractions() {
 void LinkModelTradeoffConfig::validate() const {
   if (node_count < 2) throw ConfigError("LinkModelTradeoffConfig: node_count must be >= 2");
   if (!(side > 0.0)) throw ConfigError("LinkModelTradeoffConfig: side must be > 0");
+  if (!region_side_in_range(side)) {
+    throw ConfigError(
+        "LinkModelTradeoffConfig: side must be finite with 3*side^2 a finite, normal double");
+  }
   if (trials == 0) throw ConfigError("LinkModelTradeoffConfig: trials must be >= 1");
   if (!(alpha >= 1.0)) throw ConfigError("LinkModelTradeoffConfig: alpha must be >= 1");
   if (!(p_full > 0.0 && p_full <= 1.0)) {

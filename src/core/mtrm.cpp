@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "geometry/box.hpp"
 #include "support/error.hpp"
 #include "support/numeric.hpp"
 
@@ -80,6 +81,9 @@ std::vector<std::string> flatten_mtrm_labels(std::size_t time_fraction_count,
 void MtrmConfig::validate() const {
   if (node_count < 2) throw ConfigError("MtrmConfig: node_count must be >= 2");
   if (!(side > 0.0)) throw ConfigError("MtrmConfig: side must be > 0");
+  if (!region_side_in_range(side)) {
+    throw ConfigError("MtrmConfig: side must be finite with 3*side^2 a finite, normal double");
+  }
   if (steps == 0) throw ConfigError("MtrmConfig: steps must be >= 1");
   if (iterations == 0) throw ConfigError("MtrmConfig: iterations must be >= 1");
   if (time_fractions.empty() && component_fractions.empty()) {

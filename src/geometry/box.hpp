@@ -1,12 +1,26 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 
 #include "geometry/point.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace manet {
+
+/// Whether `side` can size a region [0, side]^D for every dimension the
+/// library instantiates (D <= 3): side is finite and D * side^2, the largest
+/// squared distance in the region, is a finite, normal double. That is
+/// side in [sqrt(DBL_MIN), sqrt(DBL_MAX / 3)] ~ [1.5e-154, 7.7e153]. Above
+/// it a far pair's squared distance overflows to inf (and the sorted
+/// candidate keys become NaN); below it the squared radii flush towards
+/// zero. Configuration validators reject other sides with ConfigError.
+inline bool region_side_in_range(double side) noexcept {
+  constexpr double kMaxDimension = 3.0;
+  const double side2 = side * side;
+  return std::isfinite(side) && std::isnormal(side2) && std::isfinite(kMaxDimension * side2);
+}
 
 /// The deployment region [0, l]^D of the paper ("the d-dimensional cube of
 /// side l"). All placements and mobility trajectories are confined to it.

@@ -139,21 +139,8 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
     // Filtered Kruskal over the candidates. If the radius-r graph spans, its
     // MST is a genuine MST of the complete graph: every full-MST edge weighs
     // at most the bottleneck <= r, so all of them are among the candidates.
-    std::sort(candidates_.begin(), candidates_.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.d2 != b.d2) return a.d2 < b.d2;
-                if (a.u != b.u) return a.u < b.u;
-                return a.v < b.v;
-              });
-    dsu_.reset(n);
-    mst_.clear();
-    for (const Candidate& c : candidates_) {
-      if (dsu_.unite(c.u, c.v)) {
-        mst_.push_back({c.u, c.v, covering_radius(c.d2)});
-        if (mst_.size() + 1 == n) break;
-      }
-    }
-    if (mst_.size() + 1 == n) break;
+    detail::sort_candidates(candidates_, radius * radius, detail::thread_sort_scratch());
+    if (detail::filtered_kruskal(candidates_, n, dsu_, mst_)) break;
     MANET_INVARIANT(radius < r_max);  // the complete graph always spans
     radius = std::min(radius * 2.0, r_max);
   }

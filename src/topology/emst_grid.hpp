@@ -9,7 +9,7 @@
 #include "geometry/box.hpp"
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
-#include "graph/union_find.hpp"
+#include "topology/emst_candidates.hpp"
 #include "topology/mst.hpp"
 
 namespace manet {
@@ -56,10 +56,14 @@ struct EmstGridStats {
 /// largest-component breakpoint curve, total weight) is bit-identical to the
 /// dense result. The PR 2 golden MTRM checksums are the regression gate.
 ///
-/// The engine is a reusable workspace: the grid, candidate buffer, union-find
-/// and result tree all retain capacity across solves, so a hot loop (one
-/// solve per mobility step) performs no steady-state heap allocations. It is
-/// NOT thread-safe; use one engine per thread (see sim/trace_workspace.hpp).
+/// Candidates are sorted and filtered with the kinetic engine's own routines
+/// (topology/emst_candidates.hpp: the radix sort_candidates and the 32-bit
+/// KruskalForest), so both engines run one (d2, u, v) order. The engine is
+/// a reusable workspace: the grid, candidate buffer, forest and result tree
+/// all retain capacity across solves (the sort's scatter buffer is the
+/// thread's), so a hot loop (one solve per mobility step) performs no
+/// steady-state heap allocations. It is NOT thread-safe; use one engine per
+/// thread (see sim/trace_workspace.hpp).
 template <int D>
 class EmstEngine {
  public:
@@ -91,13 +95,6 @@ class EmstEngine {
   const EmstGridStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Candidate edge: squared distance first so the sort key is cache-local.
-  struct Candidate {
-    double d2;
-    std::uint32_t u;
-    std::uint32_t v;
-  };
-
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
@@ -109,8 +106,8 @@ class EmstEngine {
   static double initial_radius(std::size_t n, double side);
 
   CellGrid<D> grid_;
-  UnionFind dsu_{0};
-  std::vector<Candidate> candidates_;
+  detail::KruskalForest dsu_;
+  detail::CandidateBuffer candidates_;
   std::vector<WeightedEdge> mst_;
   std::vector<double> nn2_;
   // Dense-fallback scratch (pooled so the fallback is allocation-free too).

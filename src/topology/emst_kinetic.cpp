@@ -31,13 +31,6 @@ KineticMetrics& kinetic_metrics() {
   return bundle;
 }
 
-bool candidate_less(double a_d2, std::uint32_t a_u, std::uint32_t a_v, double b_d2,
-                    std::uint32_t b_u, std::uint32_t b_v) noexcept {
-  if (a_d2 != b_d2) return a_d2 < b_d2;
-  if (a_u != b_u) return a_u < b_u;
-  return a_v < b_v;
-}
-
 }  // namespace
 
 template <int D>
@@ -104,11 +97,10 @@ void KineticEmstEngine<D>::rebuild_kinetic_grid(std::span<const Point<D>> points
   cell_start_.resize(total_cells_ + 1);
   cell_cursor_.resize(total_cells_);
   cell_ids_.resize(n_);
-  // Scratch for the batched scans; sized once so warm advances stay
-  // allocation-free even after a radius-growth rebuild mid-trace.
+  // Snapshot stores sized once so warm advances stay allocation-free even
+  // after a radius-growth rebuild mid-trace.
   snap_.reserve(n_);
   cur_.reserve(n_);
-  near_d2_.resize(n_);
   for (std::size_t p = 0; p < n_; ++p) cell_of_[p] = flat_index(cell_coords(points[p]));
 }
 
@@ -127,185 +119,91 @@ void KineticEmstEngine<D>::build_cell_snapshot() {
     cell_ids_[cell_cursor_[cell_of_[p]]++] = static_cast<std::uint32_t>(p);
   }
   // SoA coordinate snapshot matching cell_ids_: every cell (and every axis-0
-  // row of cells) is a contiguous run per axis, ready for the batched
-  // kernels. Gather from cur_, which advance_impl filled this step.
+  // row of cells) is a contiguous run per axis, which scan_mover streams.
+  // Gather from cur_, which advance() filled this step.
   snap_.assign_gather(cur_, std::span<const std::uint32_t>(cell_ids_.data(), n_));
 }
 
 template <int D>
-void KineticEmstEngine<D>::emit_mover_run(std::uint32_t i, const double* q,
-                                          std::size_t run_begin, std::size_t run_end) {
-  const std::size_t count = run_end - run_begin;
-  if (count == 0) return;
-  kernels::AxisPointers<D> axes;
-  for (int a = 0; a < D; ++a) {
-    axes[static_cast<std::size_t>(a)] = snap_.axis(a) + run_begin;
-  }
-  double* d2 = near_d2_.data();
-  kernels::batch_squared_distance<D>(axes, count, q, d2);
-  const std::uint32_t* ids = cell_ids_.data() + run_begin;
-  for (std::size_t k = 0; k < count; ++k) {
+std::size_t KineticEmstEngine<D>::emit_mover_run(std::uint32_t i, const double* q,
+                                                 std::size_t run_begin, std::size_t run_end,
+                                                 std::size_t out) noexcept {
+  std::array<const double*, static_cast<std::size_t>(D)> axes;
+  for (int a = 0; a < D; ++a) axes[static_cast<std::size_t>(a)] = snap_.axis(a);
+  const std::uint32_t* ids = cell_ids_.data();
+  const std::uint8_t* moved = moved_flag_.data();
+  Candidate* dst = changed_.data();
+  const double r2 = r2_;
+  for (std::size_t k = run_begin; k < run_end; ++k) {
+    // The scalar core's per-axis sequence (no FMA: the build pins
+    // -ffp-contract=off), so d2 is bit-identical to squared_distance.
+    double d2 = 0.0;
+    for (int a = 0; a < D; ++a) {
+      const double d = axes[static_cast<std::size_t>(a)][k] - q[a];
+      d2 += d * d;
+    }
     const std::uint32_t j = ids[k];
-    if (j == i) continue;
-    // Both endpoints moved: emit once, from the smaller id (the larger-id
-    // mover skips the pair).
-    if (moved_flag_[j] != 0 && j < i) continue;
-    if (d2[k] > r2_) continue;
-    changed_.push_back({d2[k], std::min(i, j), std::max(i, j)});
+    dst[out] = {d2, std::min(i, j), std::max(i, j)};
+    // Keep the pair unless it is out of radius, or j is a smaller-id mover
+    // (that mover emits it). i itself is a mover, so j == i is dropped too.
+    const bool keep = ((moved[j] == 0) | (j > i)) & !(d2 > r2);
+    out += static_cast<std::size_t>(keep);
   }
+  return out;
 }
 
 template <int D>
-void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
-  const int w = near_window_;
+std::size_t KineticEmstEngine<D>::scan_mover(std::uint32_t i, std::size_t out) {
   std::array<double, static_cast<std::size_t>(D)> q;
   for (int a = 0; a < D; ++a) q[static_cast<std::size_t>(a)] = cur_.axis(a)[i];
 
-  // Axis 0 is the least-significant digit of the flat cell index, so the
-  // 2w+1 window cells of one axis-0 row are contiguous both in flat index
-  // and (via cell_start_) in CSR slots: each row becomes one batched kernel
-  // run instead of per-cell, per-pair scalar work. The row's axis-0 extent,
-  // clipped to the grid, is the same in every row. Higher axes step by the
-  // usual odometer.
+  // The window clipped to the grid, per axis. Axis 0 is the least-
+  // significant digit of the flat cell index, so the axis-0 extent of each
+  // row of the window is one contiguous CSR slot run; rows differ only in
+  // their higher-axis coordinates.
   const auto center = cell_coords(cur_.get(i));
-  const auto cells = static_cast<long long>(cells_per_axis_);
-  const auto row_begin =
-      static_cast<std::size_t>(std::max<long long>(static_cast<long long>(center[0]) - w, 0));
-  const auto row_end = static_cast<std::size_t>(
-      std::min<long long>(static_cast<long long>(center[0]) + w, cells - 1) + 1);
-  const auto row_base_of = [this](const std::array<std::size_t, D>& c) {
-    std::size_t idx = 0;
-    for (int a = D - 1; a >= 1; --a) idx = idx * cells_per_axis_ + c[static_cast<std::size_t>(a)];
-    return idx * cells_per_axis_;
-  };
-  const auto scan_row = [this, i, &q, row_begin, row_end](std::size_t row_base) {
-    emit_mover_run(i, q.data(), cell_start_[row_base + row_begin],
-                   cell_start_[row_base + row_end]);
-  };
+  const auto w = static_cast<std::size_t>(near_window_);
+  std::array<std::size_t, D> lo{};
+  std::array<std::size_t, D> hi{};
+  for (std::size_t a = 0; a < static_cast<std::size_t>(D); ++a) {
+    lo[a] = center[a] >= w ? center[a] - w : 0;
+    hi[a] = std::min(center[a] + w, cells_per_axis_ - 1);
+  }
 
+  // Resolve every row's slot run first — (2w+1)^(D-1) rows at w <= 2 — so
+  // changed_ grows once per mover, for the window's total.
+  constexpr std::size_t kMaxRows = D == 1 ? 1 : (D == 2 ? 5 : 25);
+  MANET_INVARIANT(near_window_ <= 2);
+  std::array<std::uint32_t, kMaxRows> run_begin;
+  std::array<std::uint32_t, kMaxRows> run_end;
+  std::size_t rows = 0;
+  std::size_t total = 0;
+  const auto add_row = [&](std::size_t row) {
+    const std::size_t base = row * cells_per_axis_;
+    run_begin[rows] = cell_start_[base + lo[0]];
+    run_end[rows] = cell_start_[base + hi[0] + 1];
+    total += run_end[rows] - run_begin[rows];
+    ++rows;
+  };
   if constexpr (D == 1) {
-    scan_row(0);
-    return;
+    add_row(0);
+  } else if constexpr (D == 2) {
+    for (std::size_t y = lo[1]; y <= hi[1]; ++y) add_row(y);
   } else {
-    // Odometer over axes 1..D-1 offsets in [-w, w].
-    std::array<int, D> offset{};
-    for (int a = 1; a < D; ++a) offset[static_cast<std::size_t>(a)] = -w;
-    for (;;) {
-      std::array<std::size_t, D> other{};
-      bool in_grid = true;
-      for (int a = 1; a < D; ++a) {
-        const auto shifted = static_cast<long long>(center[static_cast<std::size_t>(a)]) +
-                             offset[static_cast<std::size_t>(a)];
-        if (shifted < 0 || shifted >= cells) {
-          in_grid = false;
-          break;
-        }
-        other[static_cast<std::size_t>(a)] = static_cast<std::size_t>(shifted);
-      }
-      if (in_grid) scan_row(row_base_of(other));
-      int axis = 1;
-      while (axis < D) {
-        if (++offset[static_cast<std::size_t>(axis)] <= w) break;
-        offset[static_cast<std::size_t>(axis)] = -w;
-        ++axis;
-      }
-      if (axis == D) break;
+    for (std::size_t z = lo[2]; z <= hi[2]; ++z) {
+      for (std::size_t y = lo[1]; y <= hi[1]; ++y) add_row(z * cells_per_axis_ + y);
     }
   }
-}
 
-template <int D>
-void KineticEmstEngine<D>::sort_candidates(std::vector<Candidate>& a, double d2_bound) {
-  const std::size_t size = a.size();
-  if (size < kRadixCutoff) {
-    std::sort(a.begin(), a.end(), [](const Candidate& x, const Candidate& y) {
-      return candidate_less(x.d2, x.u, x.v, y.d2, y.u, y.v);
-    });
-    return;
+  // Grow to the full capacity (free: the buffer default-initializes), so
+  // only a window larger than any seen before reallocates.
+  if (changed_.size() < out + total) {
+    changed_.resize(std::max(out + total, changed_.capacity()));
   }
-
-  // Stable LSD radix on a monotone 32-bit rescaling of d2: every candidate
-  // satisfies 0 <= d2 <= d2_bound, so key = floor(d2 * 2^32 / d2_bound') is
-  // a non-decreasing map into [0, 2^32) (double multiplication rounds
-  // monotonically, the product stays far below 2^53) and three 11-bit digit
-  // passes order it. Distinct d2 may collide on a key (~n^2/2^32 expected
-  // collisions); the repair scan below re-sorts equal-key runs with the
-  // exact (d2, u, v) comparator, which also puts equal-d2 duplicates into
-  // (u, v) order — so the result is exactly the unique std::sort sequence,
-  // at roughly half the scatter traffic of a full 64-bit-key radix.
-  MANET_EXPECTS(d2_bound > 0.0);
-  const double scale = 4294967296.0 / (d2_bound * (1.0 + 1e-9));
-  const auto key_of = [scale](const Candidate& c) noexcept {
-    return static_cast<std::uint32_t>(c.d2 * scale);
-  };
-
-  constexpr int kDigits = 3;  // 3 x 11 bits covers the 32-bit key
-  constexpr int kDigitBits = 11;
-  constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
-  std::array<std::uint32_t, kDigits << kDigitBits> hist{};
-  for (const Candidate& c : a) {
-    const std::uint32_t key = key_of(c);
-    for (int d = 0; d < kDigits; ++d)
-      ++hist[(d << kDigitBits) + ((key >> (kDigitBits * d)) & kDigitMask)];
+  for (std::size_t r = 0; r < rows; ++r) {
+    out = emit_mover_run(i, q.data(), run_begin[r], run_end[r], out);
   }
-
-  radix_tmp_.resize(size);
-  Candidate* src = a.data();
-  Candidate* dst = radix_tmp_.data();
-  for (int pos = 0; pos < kDigits; ++pos) {
-    std::uint32_t* counts = hist.data() + (pos << kDigitBits);
-    // All elements share this digit: the scatter would be the identity.
-    bool trivial = false;
-    for (std::size_t b = 0; b <= kDigitMask; ++b) {
-      if (counts[b] == size) {
-        trivial = true;
-        break;
-      }
-      if (counts[b] != 0) break;
-    }
-    if (trivial) continue;
-    std::uint32_t offset = 0;
-    for (std::size_t b = 0; b <= kDigitMask; ++b) {
-      const std::uint32_t count = counts[b];
-      counts[b] = offset;
-      offset += count;
-    }
-    const int shift = kDigitBits * pos;
-    for (std::size_t i = 0; i < size; ++i) {
-      dst[counts[(key_of(src[i]) >> shift) & kDigitMask]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != a.data()) a.swap(radix_tmp_);
-
-  // Repair equal-key runs (key collisions and genuine d2 ties) with the
-  // exact comparator. Runs are almost always length 1: one linear scan.
-  std::size_t i = 0;
-  while (i < size) {
-    std::size_t j = i + 1;
-    while (j < size && key_of(a[j]) == key_of(a[i])) ++j;
-    if (j - i > 1) {
-      std::sort(a.begin() + static_cast<std::ptrdiff_t>(i),
-                a.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Candidate& x, const Candidate& y) {
-                  return candidate_less(x.d2, x.u, x.v, y.d2, y.u, y.v);
-                });
-    }
-    i = j;
-  }
-}
-
-template <int D>
-bool KineticEmstEngine<D>::run_kruskal() {
-  dsu_.reset(n_);
-  mst_.clear();
-  for (const Candidate& c : edges_) {
-    if (dsu_.unite(c.u, c.v)) {
-      mst_.push_back({c.u, c.v, covering_radius(c.d2)});
-      if (mst_.size() + 1 == n_) return true;
-    }
-  }
-  return mst_.size() + 1 == n_;
+  return out;
 }
 
 template <int D>
@@ -325,8 +223,8 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
       edges_.push_back({d2, static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
     };
     grid_.for_each_pair_within(radius, collect);
-    sort_candidates(edges_, radius * radius);
-    if (run_kruskal()) break;
+    detail::sort_candidates(edges_, radius * radius, detail::thread_sort_scratch());
+    if (detail::filtered_kruskal(edges_, n_, dsu_, mst_)) break;
     MANET_INVARIANT(radius < r_max);  // the complete graph always spans
     radius = std::min(radius * 2.0, r_max);
     ++stats_.radius_growths;
@@ -491,9 +389,10 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance(
   // mover covers its radius ball, so the emitted set is exactly the pairs
   // the pool must regain. Pairs of two moved nodes are emitted once, from
   // the smaller id.
-  changed_.clear();
-  for (const std::uint32_t i : moved_) scan_mover(i);
-  stats_.last_delta = changed_.size();
+  std::size_t delta_size = 0;
+  for (const std::uint32_t i : moved_) delta_size = scan_mover(i, delta_size);
+  changed_.resize(delta_size);
+  stats_.last_delta = delta_size;
 
   // Pass 4: sort the delta, then merge it with the surviving pool entries,
   // dropping everything mover-incident (the delta holds its replacements).
@@ -502,7 +401,7 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance(
   // fused into the merge: every emitted candidate is offered to the forest
   // in order until the tree completes, which turns Kruskal's own full read
   // of the pool into reuse of values this loop already holds in registers.
-  sort_candidates(changed_, r2_);
+  detail::sort_candidates(changed_, r2_, detail::thread_sort_scratch());
   merged_.resize(edges_.size() + changed_.size());  // upper bound; trimmed below
   dsu_.reset(n_);
   mst_.clear();
@@ -522,8 +421,7 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance(
       ++superseded;
       continue;
     }
-    while (delta != delta_end &&
-           candidate_less(delta->d2, delta->u, delta->v, c.d2, c.u, c.v)) {
+    while (delta != delta_end && detail::candidate_less(*delta, c)) {
       offer(*delta);
       merged_[out++] = *delta++;
     }

@@ -11,6 +11,7 @@
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
 #include "geometry/point_store.hpp"
+#include "topology/emst_candidates.hpp"
 #include "topology/emst_grid.hpp"
 #include "topology/mst.hpp"
 
@@ -58,8 +59,9 @@ struct KineticStats {
 ///      radius ball) is scanned once to re-derive all its current in-radius
 ///      pairs — one distance evaluation per nearby pair, with no
 ///      entering-vs-surviving distinction to test, and
-///   4. re-runs filtered Kruskal over the repaired set (already sorted, so
-///      no per-step O(k log k) sort).
+///   4. sorts only that delta (detail::sort_candidates) and merges it into
+///      the surviving pool with filtered Kruskal fused into the merge (the
+///      pool is already sorted, so no per-step full sort).
 ///
 /// Fallbacks rebuild batch-style (full enumeration + sort at a doubling
 /// radius) whenever the invariant cannot be repaired cheaply: the candidate
@@ -107,12 +109,8 @@ class KineticEmstEngine {
   const KineticStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Same layout and sort key as EmstEngine's candidate.
-  struct Candidate {
-    double d2;
-    std::uint32_t u;
-    std::uint32_t v;
-  };
+  /// The batch engine's candidate record and (d2, u, v) order.
+  using Candidate = detail::EmstCandidate;
 
   /// Mass-move rebuild threshold, applied twice: more than this fraction of
   /// nodes moved AND more than this fraction of the movers changed cell.
@@ -134,21 +132,11 @@ class KineticEmstEngine {
   static constexpr double kShrinkTrigger = 1.1;
   static constexpr double kShrinkTarget = 1.05;
   static constexpr std::size_t kShrinkPatience = 4;
-  /// Below this size the comparator sort beats the radix passes' fixed costs.
-  static constexpr std::size_t kRadixCutoff = 64;
 
   /// Batch-style rebuild: enumerate + sort + Kruskal at a doubling radius
   /// starting from `start_radius`, then rebuild the kinetic cell grid and
   /// re-baseline the prev_ position store.
   void full_rebuild(std::span<const Point<D>> points, double start_radius);
-  /// Kruskal over the (sorted) candidate set; true when the tree spans.
-  bool run_kruskal();
-  /// Sorts candidates into the strict (d2, u, v) total order via a stable
-  /// LSD radix on a monotone 32-bit rescaling of d2 (every candidate
-  /// satisfies d2 <= d2_bound), then repairs equal-key runs with the exact
-  /// comparator. The result is exactly the unique std::sort sequence. Uses
-  /// the pooled radix_tmp_ scratch buffer.
-  void sort_candidates(std::vector<Candidate>& a, double d2_bound);
   /// Applies the post-step radius hysteresis; may trigger a shrink rebuild.
   void maybe_shrink(std::span<const Point<D>> points);
 
@@ -165,16 +153,24 @@ class KineticEmstEngine {
   /// cell, where w = near_window_ satisfies w * cell_size_ >= radius_, is a
   /// superset of i's radius ball. Axis 0 is the least-significant digit of
   /// the flat cell index, so each axis-0 row of the window is ONE contiguous
-  /// CSR slot run: the squared distances of a whole run are computed by one
-  /// batched kernel call over the snap_ SoA snapshot, then filtered in slot
-  /// order. Cells are sized ~radius/2 (w = 2) when the region
-  /// allows, which over-scans ~(2.5/3)^D less area than radius-sized cells.
-  void scan_mover(std::uint32_t i);
-  /// One batched kernel call + in-radius filter over the slot run
-  /// [run_begin, run_end): candidate i (coordinates `q`) against
-  /// snap_/cell_ids_.
-  void emit_mover_run(std::uint32_t i, const double* q, std::size_t run_begin,
-                      std::size_t run_end);
+  /// CSR slot run. At the paper's sizes a window holds ~15 nodes in ~3-node
+  /// rows, so fixed costs dominate: the scan resolves all (2w+1)^(D-1) row
+  /// runs first, grows changed_ once for their total, and then
+  /// emit_mover_run fills it without a per-row call into a batched kernel
+  /// or a per-candidate branch. Cells are sized ~radius/2 (w = 2) when the
+  /// region allows, which over-scans ~(2.5/3)^D less area than radius-sized
+  /// cells. `out` is the number of delta pairs emitted so far; returns the
+  /// new count (changed_ holds room for at least that many).
+  std::size_t scan_mover(std::uint32_t i, std::size_t out);
+  /// One fused pass over the slot run [run_begin, run_end): the squared
+  /// distance of each slot to mover i (coordinates `q`) in the scalar core's
+  /// per-axis sequence (geometry/distance_kernels.hpp), then branch-free
+  /// compaction — the pair is written at changed_[out] unconditionally and
+  /// `out` advances by the keep predicate (in radius, and not a pair the
+  /// smaller-id mover already emits). Returns the new `out`; the caller
+  /// guarantees room for the whole run.
+  std::size_t emit_mover_run(std::uint32_t i, const double* q, std::size_t run_begin,
+                             std::size_t run_end, std::size_t out) noexcept;
 
   // Trace configuration.
   bool started_ = false;
@@ -209,51 +205,18 @@ class KineticEmstEngine {
   // at (the repair-invariant baseline) and is refreshed by an O(1) swap with
   // cur_ — unmoved coordinates are equal in both, movers were just
   // re-derived. snap_ mirrors cell_ids_ in CSR slot order so scan_mover's
-  // batched kernels stream contiguous memory.
+  // row runs stream contiguous memory.
   PointStore<D> cur_;
   PointStore<D> prev_;
   PointStore<D> snap_;
-  std::vector<double> near_d2_;  ///< batched-kernel d2 output, sized n
 
-  std::vector<Candidate> edges_;    ///< the invariant candidate set
-  std::vector<Candidate> changed_;  ///< recomputed + entering edges, sorted per step
-  std::vector<Candidate> merged_;   ///< merge target, swapped with edges_
-  std::vector<Candidate> radix_tmp_;  ///< scatter scratch for sort_candidates
+  detail::CandidateBuffer edges_;    ///< the invariant candidate set
+  detail::CandidateBuffer changed_;  ///< recomputed + entering edges, sorted per step
+  detail::CandidateBuffer merged_;   ///< merge target, swapped with edges_
   std::vector<std::uint32_t> moved_;
   std::vector<std::uint8_t> moved_flag_;
 
-  /// Union-by-size forest with path halving, specialized for the per-step
-  /// Kruskal loop: 32-bit ids keep both arrays L1-sized (graph/union_find.hpp
-  /// stores size_t), and the component-count bookkeeping Kruskal never reads
-  /// is omitted. Acceptance decisions depend only on connectivity, so the
-  /// resulting tree is identical to one built over any other union-find.
-  struct KruskalForest {
-    std::vector<std::uint32_t> parent;
-    std::vector<std::uint32_t> size;
-
-    void reset(std::size_t n) {
-      parent.resize(n);
-      size.assign(n, 1);
-      for (std::size_t i = 0; i < n; ++i) parent[i] = static_cast<std::uint32_t>(i);
-    }
-    std::uint32_t find(std::uint32_t x) noexcept {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];  // path halving
-        x = parent[x];
-      }
-      return x;
-    }
-    bool unite(std::uint32_t a, std::uint32_t b) noexcept {
-      a = find(a);
-      b = find(b);
-      if (a == b) return false;
-      if (size[a] < size[b]) std::swap(a, b);
-      parent[b] = a;
-      size[a] += size[b];
-      return true;
-    }
-  };
-  KruskalForest dsu_;
+  detail::KruskalForest dsu_;
   std::vector<WeightedEdge> mst_;
   KineticStats stats_;
 };

@@ -142,6 +142,39 @@ TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
   EXPECT_EQ(g_news, 0u) << "a warm kinetic advance() touched the heap";
   EXPECT_GT(kinetic.stats().incremental_repairs, repairs_before)
       << "measurement window never took the incremental path";
+
+  // The paper's drunkard at the Figure 3 shape (n = 128, l = 16384): about
+  // 63% of the nodes move every step, so every advance scans many movers
+  // and grows the delta buffer per mover, and radius-growth rebuilds
+  // interleave with the repairs. Once warm, none of it may allocate.
+  const std::size_t paper_n = 128;
+  const double paper_side = 16384.0;
+  const Box2 paper_box(paper_side);
+  const auto drunkard =
+      make_mobility_model<2>(MobilityConfig::paper_drunkard(paper_side), paper_box);
+  auto walkers = uniform_deployment(paper_n, paper_box, rng);
+  drunkard->initialize(walkers, rng);
+  KineticEmstEngine<2> paper_kinetic;
+  paper_kinetic.start(walkers, paper_box);
+  for (int s = 0; s < 1000; ++s) {
+    drunkard->step(walkers, rng);
+    paper_kinetic.advance(walkers);
+  }
+  ASSERT_FALSE(paper_kinetic.stats().dense_mode);
+  const KineticStats warm = paper_kinetic.stats();
+
+  g_news = 0;
+  g_counting = true;
+  std::size_t movers = 0;
+  for (int s = 0; s < 500; ++s) {
+    drunkard->step(walkers, rng);
+    paper_kinetic.advance(walkers);
+    movers += paper_kinetic.stats().last_moved;
+  }
+  g_counting = false;
+  EXPECT_EQ(g_news, 0u) << "a warm paper-drunkard advance() touched the heap";
+  EXPECT_GT(paper_kinetic.stats().incremental_repairs, warm.incremental_repairs);
+  EXPECT_GT(movers, 500u * paper_n / 2) << "the trace should move most nodes every step";
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace manet {
@@ -103,6 +105,20 @@ TEST(Experiments, Figure9SweepSpansPaperVelocities) {
     EXPECT_GT(f, 0.0);
     EXPECT_LE(f, 0.5);
   }
+}
+
+TEST(LinkModelTradeoffConfig, RejectsSidesWhoseSquaredDistancesOverflowOrUnderflow) {
+  experiments::LinkModelTradeoffConfig config;
+  EXPECT_NO_THROW(config.validate());
+  for (const double side : {std::numeric_limits<double>::infinity(), 1e160, 1e-170,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    config.side = side;
+    EXPECT_THROW(config.validate(), ConfigError) << "side " << side;
+  }
+  config.side = 1e150;
+  EXPECT_NO_THROW(config.validate());
+  config.side = 1e-150;
+  EXPECT_NO_THROW(config.validate());
 }
 
 }  // namespace

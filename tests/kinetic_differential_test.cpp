@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -169,6 +170,25 @@ TEST(KineticDifferential, PaperMobilityDefaultsMatchBatch2D) {
   // many steps move nothing or almost nothing — the degenerate-delta path.
   run_differential_trace<2>(64, 256.0, MobilityConfig::paper_waypoint(256.0), 150, 31);
   run_differential_trace<2>(64, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
+}
+
+TEST(KineticDifferential, PaperFigureShapesMatchBatch2D) {
+  // The exact shapes of the paper's Figures 2-3 (and perfbench's
+  // paper_figs): n = sqrt(l) for l in {1K, 4K, 16K}, under the paper's
+  // waypoint and drunkard defaults. 300 steps cover the all-moving start-up
+  // transient, where most nodes move every step and the mover scan and
+  // delta sort carry the most pairs.
+  for (const double side : {1024.0, 4096.0, 16384.0}) {
+    const auto n = static_cast<std::size_t>(std::sqrt(side));
+    const auto seed = static_cast<std::uint64_t>(side);
+    const KineticStats waypoint = run_differential_trace<2>(
+        n, side, MobilityConfig::paper_waypoint(side), 300, seed + 1);
+    const KineticStats drunkard = run_differential_trace<2>(
+        n, side, MobilityConfig::paper_drunkard(side), 300, seed + 2);
+    EXPECT_FALSE(waypoint.dense_mode);
+    EXPECT_GT(waypoint.incremental_repairs, 0u) << "side " << side;
+    EXPECT_GT(drunkard.incremental_repairs, 0u) << "side " << side;
+  }
 }
 
 TEST(KineticDifferential, ClusteredDeploymentForcesRadiusGrowthAndMatches) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -53,6 +55,29 @@ TEST(MtrmConfig, Validation) {
 
   config.time_fractions.clear();
   config.component_fractions.clear();
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
+TEST(MtrmConfig, RejectsSidesWhoseSquaredDistancesOverflowOrUnderflow) {
+  // inf passed the old `side > 0` check and read r100 = 0; 1e160 squared to
+  // inf (NaN radix keys, r100 = inf); 1e-170 squared to 0 (a zero radius).
+  MtrmConfig config = small_config();
+  for (const double side : {std::numeric_limits<double>::infinity(), 1e160, 1e-170,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    config.side = side;
+    EXPECT_THROW(config.validate(), ConfigError) << "side " << side;
+  }
+  // The accepted range is [sqrt(DBL_MIN), sqrt(DBL_MAX / 3)]: both ends of
+  // it still validate, one step outside does not.
+  const double lo = std::sqrt(std::numeric_limits<double>::min()) * (1.0 + 1e-15);
+  const double hi = std::sqrt(std::numeric_limits<double>::max() / 3.0) * (1.0 - 1e-15);
+  config.side = lo;
+  EXPECT_NO_THROW(config.validate());
+  config.side = hi;
+  EXPECT_NO_THROW(config.validate());
+  config.side = lo * (1.0 - 1e-6);
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.side = hi * (1.0 + 1e-6);
   EXPECT_THROW(config.validate(), ConfigError);
 }
 
