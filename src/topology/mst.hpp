@@ -20,9 +20,11 @@ struct WeightedEdge {
 /// Minimum spanning tree under an arbitrary squared-distance metric, via
 /// dense Prim's algorithm: O(n^2) metric evaluations, O(n) space, no edge
 /// materialization. This is the REFERENCE implementation only: no library
-/// code calls it. Every solve in the library goes through the grid engine
-/// (topology/emst_grid.hpp), which carries its own pooled dense fallback for
-/// tiny inputs; the tests and bench/perf_mst's identity gate compare that
+/// code calls it. Every solve in the library goes through EmstEngine
+/// (topology/emst_grid.hpp), whose own dense path — a vectorized Prim over
+/// a compacted fringe, with the same tie rule (equal keys go to the smallest
+/// vertex id) — serves n < kDenseCutoff and returns this function's tree
+/// edge for edge; the tests and bench/perf_mst's identity gate compare the
 /// engine's trees against this function.
 ///
 /// `squared_dist` is any symmetric non-negative function of two points (the

@@ -24,6 +24,7 @@
 #include "sim/mobile_trace.hpp"
 #include "sim/trace_workspace.hpp"
 #include "support/rng.hpp"
+#include "topology/emst_grid.hpp"
 #include "topology/emst_kinetic.hpp"
 
 namespace {
@@ -71,9 +72,10 @@ std::size_t count_trace_allocations(std::size_t n, const Box2& box, std::size_t 
 }
 
 TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
-  // n well above EmstEngine::kDenseCutoff so the grid path (grid rebuild,
+  // n above EmstEngine::kDenseCutoff so the grid path (grid rebuild,
   // candidate collection, Kruskal) is what's being measured.
-  const std::size_t n = 64;
+  const std::size_t n = 160;
+  static_assert(160 >= EmstEngine<2>::kDenseCutoff);
   const Box2 box(32.0);
   constexpr std::size_t kShort = 60;
   constexpr std::size_t kLong = 180;
@@ -99,7 +101,7 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   // everything else is pooled. Amortized vector growth in the final trace
   // aggregation adds a logarithmic number of extra allocations, so the
   // per-step average must stay close to 1 — and far below the O(n) per step
-  // (~64 here) that per-step buffer churn would cost.
+  // (~160 here) that per-step buffer churn would cost.
   EXPECT_LE(per_step, 3.0) << "long=" << long_allocs << " short=" << short_allocs;
   EXPECT_GE(per_step, 1.0);
 }
@@ -143,12 +145,14 @@ TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
   EXPECT_GT(kinetic.stats().incremental_repairs, repairs_before)
       << "measurement window never took the incremental path";
 
-  // The paper's drunkard at the Figure 3 shape (n = 128, l = 16384): about
-  // 63% of the nodes move every step, so every advance scans many movers
-  // and grows the delta buffer per mover, and radius-growth rebuilds
-  // interleave with the repairs. Once warm, none of it may allocate.
-  const std::size_t paper_n = 128;
-  const double paper_side = 16384.0;
+  // The paper's drunkard in the Figure 3 shape n = sqrt(l), at the first
+  // such size the kinetic repair serves (n = 160, l = 25600): most nodes
+  // move every step, so every advance scans many movers and grows the delta
+  // buffer per mover, and radius-growth rebuilds interleave with the
+  // repairs. Once warm, none of it may allocate.
+  const std::size_t paper_n = 160;
+  const double paper_side = 25600.0;
+  static_assert(paper_n >= KineticEmstEngine<2>::kDenseCutoff);
   const Box2 paper_box(paper_side);
   const auto drunkard =
       make_mobility_model<2>(MobilityConfig::paper_drunkard(paper_side), paper_box);
@@ -175,6 +179,91 @@ TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
   EXPECT_EQ(g_news, 0u) << "a warm paper-drunkard advance() touched the heap";
   EXPECT_GT(paper_kinetic.stats().incremental_repairs, warm.incremental_repairs);
   EXPECT_GT(movers, 500u * paper_n / 2) << "the trace should move most nodes every step";
+}
+
+TEST(AllocDiscipline, ReplayedPaperDrunkardWindowAtN256MakesZeroAllocations) {
+  // The paper's drunkard at n = 256, l = 65536. At this shape a growth
+  // rebuild with more candidates than any before it still grows the
+  // candidate and sort buffers after thousands of steps (a known engine
+  // item), so a fresh window is not guaranteed allocation-free. The window
+  // is replayed instead: one pass over the same 500 positions from start()
+  // warms the engine, and the second, identical pass must not touch the
+  // heap. Any per-step churn allocates in the second pass as much as in the
+  // first.
+  const std::size_t paper_n = 256;
+  const double paper_side = 65536.0;
+  static_assert(paper_n >= KineticEmstEngine<2>::kDenseCutoff);
+  const Box2 paper_box(paper_side);
+  Rng rng(0xA110C5ull);
+  const auto drunkard =
+      make_mobility_model<2>(MobilityConfig::paper_drunkard(paper_side), paper_box);
+  auto walkers = uniform_deployment(paper_n, paper_box, rng);
+  drunkard->initialize(walkers, rng);
+  for (int s = 0; s < 1000; ++s) drunkard->step(walkers, rng);  // past the start-up transient
+  std::vector<std::vector<Point2>> window;
+  for (int s = 0; s < 500; ++s) {
+    drunkard->step(walkers, rng);
+    window.push_back(walkers);
+  }
+
+  KineticEmstEngine<2> paper_kinetic;
+  paper_kinetic.start(window[0], paper_box);
+  for (std::size_t s = 1; s < window.size(); ++s) paper_kinetic.advance(window[s]);
+  ASSERT_FALSE(paper_kinetic.stats().dense_mode);
+  const KineticStats warm = paper_kinetic.stats();
+
+  paper_kinetic.start(window[0], paper_box);
+  g_news = 0;
+  g_counting = true;
+  std::size_t movers = 0;
+  for (std::size_t s = 1; s < window.size(); ++s) {
+    paper_kinetic.advance(window[s]);
+    movers += paper_kinetic.stats().last_moved;
+  }
+  g_counting = false;
+  EXPECT_EQ(g_news, 0u) << "a replayed paper-drunkard advance() touched the heap";
+  EXPECT_GT(paper_kinetic.stats().incremental_repairs, 0u);
+  EXPECT_EQ(paper_kinetic.stats().incremental_repairs, warm.incremental_repairs);
+  EXPECT_GT(paper_kinetic.stats().radius_growths, 0u)
+      << "the window should interleave growth rebuilds with the repairs";
+  EXPECT_GT(movers, 499u * paper_n / 2) << "the trace should move most nodes every step";
+}
+
+TEST(AllocDiscipline, WarmDenseSolvesMakeZeroAllocations) {
+  // The dense path serves every solve below kDenseCutoff (every paper-figure
+  // size): its fringe, candidate buffer, sort scratch and tree are pooled,
+  // so warm batch solves and warm dense-mode kinetic advances at the
+  // largest dense size must not touch the heap.
+  const std::size_t n = EmstEngine<2>::kDenseCutoff - 1;
+  const double side = 16384.0;
+  const Box2 box(side);
+  const auto model = make_mobility_model<2>(MobilityConfig::paper_drunkard(side), box);
+  Rng rng(0xA110C4ull);
+  auto positions = uniform_deployment(n, box, rng);
+  model->initialize(positions, rng);
+
+  EmstEngine<2> batch;
+  KineticEmstEngine<2> kinetic;
+  kinetic.start(positions, box);
+  ASSERT_TRUE(kinetic.stats().dense_mode);
+  for (int s = 0; s < 20; ++s) {
+    model->step(positions, rng);
+    batch.euclidean(positions, box);
+    kinetic.advance(positions);
+  }
+
+  g_news = 0;
+  g_counting = true;
+  std::size_t edges = 0;
+  for (int s = 0; s < 200; ++s) {
+    model->step(positions, rng);
+    edges += batch.euclidean(positions, box).size();
+    edges += kinetic.advance(positions).size();
+  }
+  g_counting = false;
+  EXPECT_EQ(g_news, 0u) << "a warm dense solve touched the heap";
+  EXPECT_TRUE(batch.stats().dense_fallback);
+  EXPECT_EQ(edges, 2u * 200u * (n - 1));
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {
@@ -212,7 +301,7 @@ TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {
 }
 
 TEST(AllocDiscipline, RepeatedTracesOnWarmWorkspaceStayBounded) {
-  const std::size_t n = 64;
+  const std::size_t n = 160;
   const Box2 box(32.0);
   TraceWorkspace<2> workspace;
   count_trace_allocations(n, box, 100, workspace);  // warm-up

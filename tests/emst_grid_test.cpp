@@ -123,12 +123,18 @@ std::vector<Point<D>> clustered_deployment(std::size_t n, const Box<D>& box,
 template <int D>
 void check_uniform_configs() {
   Rng rng(0x9E3779B9u + static_cast<unsigned>(D));
-  for (std::size_t n : {2u, 3u, 7u, 31u, 32u, 33u, 100u, 300u}) {
+  // Sizes on both sides of kDenseCutoff, so both paths meet uniform inputs
+  // of every scale; at and above the cutoff the grid path must serve them.
+  constexpr std::size_t kCutoff = EmstEngine<D>::kDenseCutoff;
+  for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{7}, std::size_t{31},
+                        std::size_t{32}, std::size_t{33}, std::size_t{100}, kCutoff - 1,
+                        kCutoff, kCutoff + 1, std::size_t{300}}) {
     for (double side : {1.0, 50.0, 2000.0}) {
       const Box<D> box(side);
       const auto points = uniform_deployment(n, box, rng);
       EmstEngine<D> engine;
       const auto grid = engine.euclidean(points, box);
+      EXPECT_EQ(engine.stats().dense_fallback, n < kCutoff) << "n=" << n << " side=" << side;
       const auto dense = euclidean_mst<D>(points);
       expect_value_identical(n, dense, grid);
       const auto reference = kruskal_reference_weights(points);
@@ -162,22 +168,35 @@ TEST(EmstGrid, MatchesDenseOnClusteredConfigs) {
 }
 
 TEST(EmstGrid, CollinearAndDuplicatePointsAreHandled) {
-  // Collinear points with duplicates: many exactly-tied candidate edges.
-  std::vector<Point2> points;
-  for (int i = 0; i < 64; ++i) {
-    points.push_back({{static_cast<double>(i % 16), 5.0}});  // 4 copies of each of 16 spots
+  // Collinear points with duplicates: many exactly-tied candidate edges. The
+  // small sets run the dense path, the sets of kGridN points the grid path.
+  constexpr std::size_t kGridN = 160;
+  static_assert(kGridN >= EmstEngine<2>::kDenseCutoff);
+  for (const std::size_t n : {std::size_t{64}, kGridN}) {
+    std::vector<Point2> points;
+    const std::size_t spots = n / 4;  // 4 copies of each spot
+    for (std::size_t i = 0; i < n; ++i) {
+      points.push_back({{static_cast<double>(i % spots), 5.0}});
+    }
+    const Box2 box(static_cast<double>(spots) + 4.0);
+    EmstEngine<2> engine;
+    expect_value_identical(points.size(), euclidean_mst<2>(points),
+                           engine.euclidean(points, box));
+    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kDenseCutoff) << "n=" << n;
   }
-  const Box2 box(20.0);
-  EmstEngine<2> engine;
-  expect_value_identical(points.size(), euclidean_mst<2>(points),
-                         engine.euclidean(points, box));
 
-  // All points coincident: every MST edge has weight 0.
-  const std::vector<Point2> coincident(40, Point2{{3.0, 3.0}});
-  const auto grid = engine.euclidean(coincident, box);
-  ASSERT_EQ(grid.size(), coincident.size() - 1);
-  for (const auto& edge : grid) EXPECT_EQ(edge.weight, 0.0);
-  expect_value_identical(coincident.size(), euclidean_mst<2>(coincident), grid);
+  // All points coincident: every MST edge has weight 0 (on the grid path
+  // every candidate key is 0 under a positive radius-squared bound).
+  for (const std::size_t n : {std::size_t{40}, kGridN}) {
+    const std::vector<Point2> coincident(n, Point2{{3.0, 3.0}});
+    const Box2 box(20.0);
+    EmstEngine<2> engine;
+    const auto grid = engine.euclidean(coincident, box);
+    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kDenseCutoff) << "n=" << n;
+    ASSERT_EQ(grid.size(), coincident.size() - 1);
+    for (const auto& edge : grid) EXPECT_EQ(edge.weight, 0.0);
+    expect_value_identical(coincident.size(), euclidean_mst<2>(coincident), grid);
+  }
 }
 
 TEST(EmstGrid, EmptyAndSingletonInputs) {
@@ -218,17 +237,25 @@ TEST(EmstGrid, TorusMatchesDenseTorusMetric3D) { check_torus_configs<3>(); }
 
 TEST(EmstGrid, TorusClusteredConfigsWrapAcrossBoundary) {
   // Clusters hugging opposite edges of the region: the torus MST must cross
-  // the wrap seam, which only the wrap-aware neighbor scan can see.
+  // the wrap seam, which only the wrap-aware neighbor scan can see. Two
+  // clusters of 80 put n above kDenseCutoff, so the grid path runs.
+  constexpr std::size_t kPerCluster = 80;
+  static_assert(2 * kPerCluster >= EmstEngine<2>::kDenseCutoff);
   Rng rng(11);
   const double side = 100.0;
   std::vector<Point2> points;
-  for (std::size_t i = 0; i < 60; ++i) {
+  for (std::size_t i = 0; i < kPerCluster; ++i) {
     const double y = rng.uniform(0.0, side);
     points.push_back({{rng.uniform(0.0, 2.0), y}});
     points.push_back({{rng.uniform(side - 2.0, side), y}});
   }
   EmstEngine<2> engine;
   const auto grid = engine.torus(points, side);
+  EXPECT_FALSE(engine.stats().dense_fallback);
+  // The seam edges must come from the wrap-aware cell scan: a radius of a
+  // third of the side or more leaves fewer than three cells per axis, where
+  // the grid falls back to an exhaustive all-pairs scan.
+  EXPECT_LT(engine.stats().final_radius, side / 3.0);
   const auto dense = mst_with_metric<2>(points, [side](const Point2& a, const Point2& b) {
     return torus_squared_distance(a, b, side);
   });
@@ -282,6 +309,84 @@ TEST(EmstGrid, StatsReflectChosenPath) {
   EXPECT_GE(engine.stats().candidate_edges, large.size() - 1);
 }
 
+/// The first n points of a cubic lattice with unit spacing: every point has
+/// several equidistant neighbors, so Prim's keys tie all the time.
+template <int D>
+std::vector<Point<D>> lattice_points(std::size_t n, std::size_t per_axis) {
+  std::vector<Point<D>> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    Point<D> p;
+    std::size_t rest = i;
+    for (int axis = 0; axis < D; ++axis) {
+      p.coords[static_cast<std::size_t>(axis)] = static_cast<double>(rest % per_axis);
+      rest /= per_axis;
+    }
+    points.push_back(p);
+  }
+  return points;
+}
+
+/// (weight, u, v) order, to compare trees as edge multisets.
+std::vector<WeightedEdge> by_weight_then_ids(std::span<const WeightedEdge> tree) {
+  std::vector<WeightedEdge> edges(tree.begin(), tree.end());
+  std::sort(edges.begin(), edges.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
+    if (a.weight != b.weight) return a.weight < b.weight;
+    if (a.u != b.u) return a.u < b.u;
+    return a.v < b.v;
+  });
+  return edges;
+}
+
+/// The dense path must return the reference's tree itself — the same
+/// (from, to) pairs with the same weight bits, since both break key ties
+/// toward the smallest vertex id — on top of the value identity every path
+/// owes (weights, spanning, order, component curve).
+void expect_same_tree_as_reference(std::size_t n, std::span<const WeightedEdge> reference,
+                                   std::span<const WeightedEdge> engine) {
+  expect_value_identical(n, reference, engine);
+  const auto expected = by_weight_then_ids(reference);
+  const auto actual = by_weight_then_ids(engine);
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].u, actual[i].u) << "edge " << i;
+    EXPECT_EQ(expected[i].v, actual[i].v) << "edge " << i;
+    EXPECT_EQ(expected[i].weight, actual[i].weight) << "edge " << i;
+  }
+}
+
+template <int D>
+void check_dense_trees_match_reference() {
+  Rng rng(0xDE45Eu + static_cast<unsigned>(D));
+  EmstEngine<D> engine;
+  for (const std::size_t n : {2u, 3u, 31u, 32u, 33u, 64u, 127u, 128u}) {
+    ASSERT_LT(n, EmstEngine<D>::kDenseCutoff);
+    const auto per_axis = static_cast<std::size_t>(
+        std::ceil(std::pow(static_cast<double>(n), 1.0 / static_cast<double>(D)) - 1e-9));
+    const double side = static_cast<double>(per_axis);
+    const Box<D> box(side);
+    const auto torus_d2 = [side](const Point<D>& a, const Point<D>& b) {
+      return torus_squared_distance(a, b, side);
+    };
+    const std::vector<std::vector<Point<D>>> inputs = {
+        uniform_deployment(n, box, rng), lattice_points<D>(n, per_axis),
+        std::vector<Point<D>>(n, Point<D>{})};
+    for (std::size_t input = 0; input < inputs.size(); ++input) {
+      SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n << " input=" << input);
+      const auto& points = inputs[input];
+      const auto euclidean = engine.euclidean(points, box);
+      EXPECT_TRUE(engine.stats().dense_fallback);
+      expect_same_tree_as_reference(n, euclidean_mst<D>(points), euclidean);
+      const auto torus = engine.torus(points, side);
+      EXPECT_TRUE(engine.stats().dense_fallback);
+      expect_same_tree_as_reference(n, mst_with_metric<D>(points, torus_d2), torus);
+    }
+  }
+}
+
+TEST(EmstDense, TreeEqualsReferenceEdgeForEdge1D) { check_dense_trees_match_reference<1>(); }
+TEST(EmstDense, TreeEqualsReferenceEdgeForEdge2D) { check_dense_trees_match_reference<2>(); }
+TEST(EmstDense, TreeEqualsReferenceEdgeForEdge3D) { check_dense_trees_match_reference<3>(); }
+
 template <int D>
 double brute_force_isolation(const std::vector<Point<D>>& points) {
   double worst = 0.0;
@@ -302,6 +407,8 @@ TEST(EmstGrid, NearestNeighborRangeMatchesBruteForce) {
     const auto points = uniform_deployment(n, box, rng);
     EmstEngine<2> engine;
     EXPECT_EQ(engine.max_nearest_neighbor_range(points, box), brute_force_isolation(points))
+        << "n=" << n;
+    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kNearestNeighborDenseCutoff)
         << "n=" << n;
     EXPECT_EQ(isolation_range<2>(points, box), brute_force_isolation(points));
   }

@@ -83,6 +83,13 @@ void expect_curves_identical(std::size_t n, std::span<const WeightedEdge> batch,
   }
 }
 
+/// Below this n both engines run the same dense Prim, so every trace that
+/// is meant to exercise the kinetic repair uses at least this many nodes.
+constexpr std::size_t kCutoff = KineticEmstEngine<2>::kDenseCutoff;
+static_assert(kCutoff == KineticEmstEngine<1>::kDenseCutoff &&
+              kCutoff == KineticEmstEngine<3>::kDenseCutoff);
+static_assert(kCutoff <= 140, "raise the kinetic-path node counts below with the cutoff");
+
 /// Drives one mobility trajectory through both engines, comparing every
 /// step. Returns the kinetic stats for fallback-path assertions.
 template <int D>
@@ -138,7 +145,8 @@ MobilityConfig sparse_waypoint(double side) {
 }
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch1D) {
-  run_differential_trace<1>(128, 64.0, fast_waypoint(64.0), 120, 11);
+  const auto stats = run_differential_trace<1>(160, 64.0, fast_waypoint(64.0), 120, 11);
+  EXPECT_FALSE(stats.dense_mode);
 }
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch2D) {
@@ -154,7 +162,8 @@ TEST(KineticDifferential, WaypointBoxMatchesBatch3D) {
 }
 
 TEST(KineticDifferential, DrunkardBoxMatchesBatch1D) {
-  run_differential_trace<1>(96, 48.0, fast_drunkard(48.0), 120, 21);
+  const auto stats = run_differential_trace<1>(144, 48.0, fast_drunkard(48.0), 120, 21);
+  EXPECT_FALSE(stats.dense_mode);
 }
 
 TEST(KineticDifferential, DrunkardBoxMatchesBatch2D) {
@@ -168,23 +177,34 @@ TEST(KineticDifferential, DrunkardBoxMatchesBatch3D) {
 TEST(KineticDifferential, PaperMobilityDefaultsMatchBatch2D) {
   // The paper's own Section 4.2 parameters (gentle motion, long pauses):
   // many steps move nothing or almost nothing — the degenerate-delta path.
-  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_waypoint(256.0), 150, 31);
-  run_differential_trace<2>(64, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
+  const auto waypoint =
+      run_differential_trace<2>(160, 256.0, MobilityConfig::paper_waypoint(256.0), 150, 31);
+  const auto drunkard =
+      run_differential_trace<2>(160, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
+  EXPECT_FALSE(waypoint.dense_mode);
+  EXPECT_FALSE(drunkard.dense_mode);
 }
 
 TEST(KineticDifferential, PaperFigureShapesMatchBatch2D) {
   // The exact shapes of the paper's Figures 2-3 (and perfbench's
   // paper_figs): n = sqrt(l) for l in {1K, 4K, 16K}, under the paper's
-  // waypoint and drunkard defaults. 300 steps cover the all-moving start-up
-  // transient, where most nodes move every step and the mover scan and
-  // delta sort carry the most pairs.
-  for (const double side : {1024.0, 4096.0, 16384.0}) {
+  // waypoint and drunkard defaults, plus l = 64K (n = 256), the first shape
+  // above the dense cutoff, where the paper's own mobility drives the
+  // kinetic repair. 300 steps cover the all-moving start-up transient, where
+  // most nodes move every step and the mover scan and delta sort carry the
+  // most pairs.
+  for (const double side : {1024.0, 4096.0, 16384.0, 65536.0}) {
     const auto n = static_cast<std::size_t>(std::sqrt(side));
     const auto seed = static_cast<std::uint64_t>(side);
     const KineticStats waypoint = run_differential_trace<2>(
         n, side, MobilityConfig::paper_waypoint(side), 300, seed + 1);
     const KineticStats drunkard = run_differential_trace<2>(
         n, side, MobilityConfig::paper_drunkard(side), 300, seed + 2);
+    if (n < kCutoff) {
+      EXPECT_TRUE(waypoint.dense_mode) << "side " << side;
+      EXPECT_TRUE(drunkard.dense_mode) << "side " << side;
+      continue;
+    }
     EXPECT_FALSE(waypoint.dense_mode);
     EXPECT_GT(waypoint.incremental_repairs, 0u) << "side " << side;
     EXPECT_GT(drunkard.incremental_repairs, 0u) << "side " << side;
@@ -200,16 +220,17 @@ TEST(KineticDifferential, ClusteredDeploymentForcesRadiusGrowthAndMatches) {
   const Box2 box(side);
   Rng rng(51);
   std::vector<Point2> positions;
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < 80; ++i) {
     positions.push_back({{rng.uniform(0.0, 12.0), rng.uniform(0.0, 12.0)}});
   }
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < 80; ++i) {
     positions.push_back({{rng.uniform(188.0, 200.0), rng.uniform(188.0, 200.0)}});
   }
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_FALSE(kinetic.stats().dense_mode);
   EXPECT_GT(kinetic.stats().radius_growths, 0u);
 
   for (std::size_t s = 1; s <= 40; ++s) {
@@ -231,13 +252,14 @@ TEST(KineticDifferential, StretchingGapForcesIncrementalRadiusGrowthAndMatches) 
   const Box2 box(side);
   Rng rng(52);
   std::vector<Point2> positions;
-  for (std::size_t i = 0; i < 80; ++i) {
+  for (std::size_t i = 0; i < 160; ++i) {
     positions.push_back({{rng.uniform(140.0, 260.0), rng.uniform(0.0, side)}});
   }
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_FALSE(kinetic.stats().dense_mode);
   const std::size_t growths_at_start = kinetic.stats().radius_growths;
 
   for (std::size_t s = 1; s <= 35; ++s) {
@@ -260,7 +282,7 @@ TEST(KineticDifferential, OutlierReturnTriggersHysteresisShrinkAndMatches) {
   const Box2 box(side);
   Rng rng(53);
   std::vector<Point2> positions;
-  for (std::size_t i = 0; i < 64; ++i) {
+  for (std::size_t i = 0; i < 160; ++i) {
     positions.push_back({{rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)}});
   }
   positions.push_back({{290.0, 290.0}});
@@ -268,6 +290,7 @@ TEST(KineticDifferential, OutlierReturnTriggersHysteresisShrinkAndMatches) {
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_FALSE(kinetic.stats().dense_mode);
   EXPECT_GT(kinetic.stats().radius_growths, 0u);
 
   for (std::size_t s = 1; s <= 30; ++s) {
@@ -291,17 +314,19 @@ TEST(KineticDifferential, MassTeleportStepsFallBackAndMatch) {
   const double side = 64.0;
   const Box2 box(side);
   Rng rng(54);
-  auto positions = uniform_deployment(120, box, rng);
+  const std::size_t n = 160;
+  auto positions = uniform_deployment(n, box, rng);
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_FALSE(kinetic.stats().dense_mode);
   for (std::size_t s = 1; s <= 25; ++s) {
-    positions = uniform_deployment(120, box, rng);
+    positions = uniform_deployment(n, box, rng);
     const auto b = batch.euclidean(positions, box);
     const auto k = kinetic.advance(positions);
     expect_trees_identical(b, k, s);
-    expect_curves_identical<2>(120, b, k, s);
+    expect_curves_identical<2>(n, b, k, s);
   }
   EXPECT_GT(kinetic.stats().mass_move_rebuilds, 20u);
 }
@@ -314,18 +339,19 @@ TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
   const Box2 box(side);
   Rng rng(55);
   std::vector<Point2> positions;
-  for (std::size_t i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < 60; ++i) {
     const Point2 p{{rng.uniform(0.0, side), rng.uniform(0.0, side)}};
     positions.push_back(p);
     positions.push_back(p);  // exact duplicate
   }
-  for (std::size_t i = 0; i < 20; ++i) {
+  for (std::size_t i = 0; i < 40; ++i) {
     positions.push_back({{rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : side, rng.uniform(0.0, side)}});
   }
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_FALSE(kinetic.stats().dense_mode);
   for (std::size_t s = 1; s <= 40; ++s) {
     for (std::size_t i = 0; i < positions.size(); i += 3) {
       // Snap to the boundary half the time, drift otherwise.
@@ -343,11 +369,11 @@ TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
 
 TEST(KineticDifferential, RandomizedConfigSweep) {
   // Randomized fuzz over the whole configuration space: dimension, node
-  // count (straddling the dense cutoff), region size, model.
+  // count (straddling the dense cutoff, mostly above it), region size, model.
   Rng meta(0xD1FFull);
   for (int round = 0; round < 24; ++round) {
     const int d = 1 + static_cast<int>(meta.next_u64() % 3);
-    const std::size_t n = 24 + meta.next_u64() % 200;
+    const std::size_t n = kCutoff - 8 + meta.next_u64() % 200;
     const double side = 16.0 + meta.uniform(0.0, 80.0);
     const bool waypoint = (meta.next_u64() & 1) != 0;
     const std::size_t steps = 25 + meta.next_u64() % 30;
@@ -410,9 +436,9 @@ void check_trace_matches_batch_reference(std::size_t n, double side,
 }
 
 TEST(KineticDifferential, RunMobileTraceMatchesPerStepBatchReference) {
-  check_trace_matches_batch_reference<1>(128, 64.0, fast_waypoint(64.0), 60, 61);
-  check_trace_matches_batch_reference<2>(128, 96.0, fast_waypoint(96.0), 60, 62);
-  check_trace_matches_batch_reference<3>(100, 32.0, fast_drunkard(32.0), 60, 63);
+  check_trace_matches_batch_reference<1>(160, 64.0, fast_waypoint(64.0), 60, 61);
+  check_trace_matches_batch_reference<2>(160, 96.0, fast_waypoint(96.0), 60, 62);
+  check_trace_matches_batch_reference<3>(140, 32.0, fast_drunkard(32.0), 60, 63);
   // Below kDenseCutoff the kinetic engine delegates every step to its
   // embedded batch engine.
   static_assert(20 < KineticEmstEngine<2>::kDenseCutoff);

@@ -49,16 +49,18 @@ void expect_trees_identical(std::span<const WeightedEdge> batch,
 }
 
 TEST(PropertyKinetic, NodeOscillatingOnExactCellBoundary) {
-  // One node hops between EXACTLY representable coordinates — 16.0 (a cell
-  // boundary when the grid divides side 64 into 4 cells, and a round binary
-  // value regardless), 8.0 and 24.0 — while the bulk jiggles. The dangerous
-  // case is the boundary value itself: the kinetic cell assignment must
-  // place it in the same cell as a fresh CellGrid rebuild would, every time
-  // it lands there, or candidate edges silently go missing.
-  const double side = 64.0;
+  // One node hops between EXACTLY representable coordinates — 8.0, 16.0
+  // and 24.0, cell boundaries whenever the cell width divides 8 (this
+  // deployment's grid has 15 cells of width 4.0 on side 60) and round binary
+  // values regardless — while the bulk jiggles. The dangerous case is the
+  // boundary value itself: the kinetic cell assignment must place it in the
+  // same cell as a fresh CellGrid rebuild would, every time it lands there,
+  // or candidate edges silently go missing. n is above kDenseCutoff, so the
+  // kinetic repair (not the dense delegate) serves every step.
+  const double side = 60.0;
   const Box2 box(side);
   Rng rng(71);
-  auto positions = uniform_deployment(70, box, rng);
+  auto positions = uniform_deployment(160, box, rng);
   positions[0] = {{16.0, 16.0}};
 
   EmstEngine<2> batch;
@@ -109,7 +111,8 @@ TEST(PropertyKinetic, DenseFallbackHandoffAroundCutoff) {
   static_assert(KineticEmstEngine<2>::kDenseCutoff == EmstEngine<2>::kDenseCutoff);
   const double side = 64.0;
   const Box2 box(side);
-  for (const std::size_t n : {std::size_t{8}, std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
+  constexpr std::size_t kCutoff = KineticEmstEngine<2>::kDenseCutoff;
+  for (const std::size_t n : {std::size_t{8}, kCutoff - 1, kCutoff, kCutoff + 1}) {
     Rng rng(74 + n);
     auto positions = uniform_deployment(n, box, rng);
 

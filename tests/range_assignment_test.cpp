@@ -95,15 +95,33 @@ TEST(MstAssignment, MaxRangeEqualsCriticalRange) {
 
 // The boxed assignments solve through EmstEngine; their ranges must be
 // bit-equal to assignments built from the dense reference MST, on both the
-// engine's dense path (n < kDenseCutoff) and its grid path.
+// engine's dense path (n < kDenseCutoff) and its grid path. A per-node range
+// depends on which tree was chosen, not only on its weights, so the last
+// dense-size trial is a lattice whose MSTs differ in their per-node ranges:
+// in 1-D every site holds two coincident nodes (which of the two carries
+// the edge to the next site is a tie), in 2-D rows 0.5 apart along x and
+// 0.75 apart along y (which column carries each 0.75 edge is a tie). Only
+// the reference's tie rule (smallest vertex id) gives the same ranges.
 template <int D>
 void expect_assignments_match_dense_reference(std::uint64_t seed) {
   Rng rng(seed);
   const Box<D> box(100.0);
   constexpr std::size_t kCutoff = EmstEngine<D>::kDenseCutoff;
   for (std::size_t n : {std::size_t{2}, kCutoff - 1, kCutoff, 4 * kCutoff}) {
-    for (int trial = 0; trial < 5; ++trial) {
-      const auto points = uniform_deployment<D>(n, box, rng);
+    for (int trial = 0; trial < 6; ++trial) {
+      const bool lattice = trial == 5;
+      if (lattice && n >= kCutoff) continue;
+      auto points = uniform_deployment<D>(n, box, rng);
+      if (lattice) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if constexpr (D == 1) {
+            points[i].coords[0] = 0.5 * static_cast<double>(i / 2);
+          } else {
+            points[i].coords[0] = 0.5 * static_cast<double>(i % 12);
+            points[i].coords[1] = 0.75 * static_cast<double>(i / 12);
+          }
+        }
+      }
       const auto reference = euclidean_mst<D>(points);
       std::vector<double> per_node(n, 0.0);
       for (const WeightedEdge& e : reference) {
