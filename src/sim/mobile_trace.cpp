@@ -1,63 +1,76 @@
 #include "sim/mobile_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 
 namespace manet {
 
+namespace {
+
+/// Average number of positive-range breakpoints per histogram bin: the size
+/// of the one bin a mean-component query gathers and sorts.
+constexpr std::size_t kEventsPerBin = 64;
+
+/// Histogram bin of a breakpoint range in (0, r_max]: min(bins - 1,
+/// floor(range / r_max * bins)). `bins` is a power of two, so the product is
+/// exact and the map is monotone in `range`. The quotient is at most 1 for
+/// range <= r_max, subnormal r_max included; the comparison also sends NaN
+/// (0 / 0) and inf to the top bin, so the conversion only ever sees a value
+/// in [0, bins - 1).
+std::size_t bin_of(double range, double r_max, std::size_t bins) {
+  const double scaled = range / r_max * static_cast<double>(bins);
+  return scaled < static_cast<double>(bins - 1) ? static_cast<std::size_t>(scaled) : bins - 1;
+}
+
+}  // namespace
+
 MobileConnectivityTrace::MobileConnectivityTrace(
     std::size_t node_count, std::vector<LargestComponentCurve> per_step_curves)
     : n_(node_count), curves_(std::move(per_step_curves)) {
-  std::vector<CurveMergeEvent> events;
-  build(events);
-}
-
-MobileConnectivityTrace::MobileConnectivityTrace(
-    std::size_t node_count, std::vector<LargestComponentCurve> per_step_curves,
-    std::vector<CurveMergeEvent>& event_scratch)
-    : n_(node_count), curves_(std::move(per_step_curves)) {
-  build(event_scratch);
-}
-
-void MobileConnectivityTrace::build(std::vector<CurveMergeEvent>& events) {
   MANET_EXPECTS(!curves_.empty());
-  for (const auto& curve : curves_) MANET_EXPECTS(curve.node_count() == n_);
+  std::size_t events = 0;
+  for (const auto& curve : curves_) {
+    MANET_EXPECTS(curve.node_count() == n_);
+    events += curve.breakpoints().size() - 1;
+  }
 
   timeline_rc_.reserve(curves_.size());
   for (const auto& curve : curves_) timeline_rc_.push_back(curve.critical_range());
   sorted_rc_ = timeline_rc_;
   std::sort(sorted_rc_.begin(), sorted_rc_.end());
 
-  // Merge the per-step breakpoint curves into the mean largest-component
-  // curve: each step contributes +delta node at each of its breakpoints.
-  events.clear();
-  double base_total = 0.0;
+  // One streaming pass: each step contributes +delta nodes at each of its
+  // breakpoints. Deltas at range 0 join the range-0 total; the others are
+  // summed per range bin. Nothing is sorted or kept per breakpoint.
+  const std::size_t bins = std::bit_ceil(std::max<std::size_t>(1, events / kEventsPerBin));
+  delta_histogram_.assign(bins, 0);
+  const double r_max = sorted_rc_.back();
   for (const auto& curve : curves_) {
     const auto breakpoints = curve.breakpoints();
-    base_total += static_cast<double>(breakpoints.front().size);
+    total_at_zero_ += breakpoints.front().size;
     for (std::size_t i = 1; i < breakpoints.size(); ++i) {
-      events.push_back({breakpoints[i].range,
-                        static_cast<double>(breakpoints[i].size) -
-                            static_cast<double>(breakpoints[i - 1].size)});
+      const double range = breakpoints[i].range;
+      MANET_EXPECT(range >= 0.0 && range <= r_max);
+      const std::size_t delta = breakpoints[i].size - breakpoints[i - 1].size;
+      if (range == 0.0) {
+        total_at_zero_ += delta;
+      } else {
+        delta_histogram_[bin_of(range, r_max, bins)] += delta;
+      }
     }
   }
-  std::sort(events.begin(), events.end(),
-            [](const CurveMergeEvent& a, const CurveMergeEvent& b) { return a.range < b.range; });
+}
 
-  const double steps = static_cast<double>(curves_.size());
-  double total = base_total;
-  mean_curve_.push_back({0.0, total / steps});
-  for (const CurveMergeEvent& event : events) {
-    total += event.delta;
-    if (mean_curve_.back().range == event.range) {
-      mean_curve_.back().mean_size = total / steps;
-    } else {
-      mean_curve_.push_back({event.range, total / steps});
-    }
-  }
+MobileConnectivityTrace::MobileConnectivityTrace(
+    std::size_t node_count, std::vector<LargestComponentCurve> per_step_curves,
+    std::vector<CurveMergeEvent>& event_scratch)
+    : MobileConnectivityTrace(node_count, std::move(per_step_curves)) {
+  event_scratch.clear();
 }
 
 double MobileConnectivityTrace::fraction_of_time_connected(double range) const {
@@ -83,21 +96,60 @@ double MobileConnectivityTrace::largest_never_connected_range() const {
 double MobileConnectivityTrace::range_for_mean_component_fraction(double phi) const {
   MANET_EXPECTS(phi > 0.0 && phi <= 1.0);
   const double target = phi * static_cast<double>(n_);
-  const auto it = std::lower_bound(
-      mean_curve_.begin(), mean_curve_.end(), target,
-      [](const MeanEvent& event, double t) { return event.mean_size < t; });
-  MANET_ENSURES(it != mean_curve_.end());  // mean reaches n at the largest breakpoint
-  return it->range;
+  const double steps = static_cast<double>(curves_.size());
+  // The answer is the smallest breakpoint range whose running total of
+  // largest-component sizes satisfies !(total / steps < target). Every total
+  // is an integer below 2^53, so it is exact in any summation order and the
+  // answer is the one a lower_bound over a merged mean curve would give.
+  const auto reached = [&](std::size_t total) {
+    return !(static_cast<double>(total) / steps < target);
+  };
+  std::size_t total = total_at_zero_;
+  if (reached(total)) return 0.0;
+
+  const std::size_t bins = delta_histogram_.size();
+  std::size_t bin = 0;
+  while (bin < bins && !reached(total + delta_histogram_[bin])) total += delta_histogram_[bin++];
+  MANET_ENSURES(bin < bins);  // the mean reaches n at the largest breakpoint
+
+  // The map is monotone, so the bin's breakpoints are one contiguous run of
+  // each step's ascending curve. Gather them, sort by range, and add them
+  // until the target is reached: the range of the breakpoint that reaches it
+  // is the answer (totals only grow, so equal ranges need no grouping).
+  struct Event {
+    double range;
+    std::size_t delta;
+  };
+  std::vector<Event> events;
+  const double r_max = sorted_rc_.back();
+  for (const auto& curve : curves_) {
+    const auto breakpoints = curve.breakpoints();
+    auto it = std::partition_point(
+        breakpoints.begin() + 1, breakpoints.end(),
+        [&](const LargestComponentCurve::Breakpoint& b) {
+          return b.range == 0.0 || bin_of(b.range, r_max, bins) < bin;
+        });
+    for (; it != breakpoints.end() && bin_of(it->range, r_max, bins) == bin; ++it) {
+      events.push_back({it->range, it->size - std::prev(it)->size});
+    }
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.range < b.range; });
+  double range = 0.0;
+  for (std::size_t i = 0; !reached(total); ++i) {
+    MANET_ENSURES(i < events.size());
+    range = events[i].range;
+    total += events[i].delta;
+  }
+  return range;
 }
 
 double MobileConnectivityTrace::mean_largest_fraction_at(double range) const {
   MANET_EXPECTS(range >= 0.0);
-  const auto it = std::upper_bound(
-      mean_curve_.begin(), mean_curve_.end(), range,
-      [](double r, const MeanEvent& event) { return r < event.range; });
-  MANET_ENSURES(it != mean_curve_.begin());
-  const double mean_size = std::prev(it)->mean_size;
+  std::size_t total = 0;
+  for (const auto& curve : curves_) total += curve.largest_component_at(range);
   if (n_ == 0) return 1.0;
+  const double mean_size = static_cast<double>(total) / static_cast<double>(curves_.size());
   return mean_size / static_cast<double>(n_);
 }
 

@@ -24,8 +24,9 @@ namespace manet {
 ///   - r_f ("connected during fraction f of the time", Figures 2-3, 7-9) is
 ///     an order statistic of the per-step critical radii;
 ///   - r0 ("largest range that yields no connected graphs") is their minimum;
-///   - rl_phi ("mean largest component = phi * n", Figure 6) comes from the
-///     merged mean component curve;
+///   - rl_phi ("mean largest component = phi * n", Figure 6) is an exact
+///     selection over a range histogram of the per-step curves' breakpoints
+///     (DESIGN.md section 10);
 ///   - mean/min largest-component sizes at any range (Figures 4-5) are curve
 ///     lookups.
 class MobileConnectivityTrace {
@@ -35,9 +36,8 @@ class MobileConnectivityTrace {
   MobileConnectivityTrace(std::size_t node_count,
                           std::vector<LargestComponentCurve> per_step_curves);
 
-  /// Workspace variant: the mean-curve merge runs in `event_scratch`
-  /// (cleared first, capacity reused across traces) instead of a fresh
-  /// buffer — the form run_mobile_trace uses.
+  /// Shim kept for perfbench; delete with the next benchmark change. Same as
+  /// the two-argument form; `event_scratch` is only cleared.
   MobileConnectivityTrace(std::size_t node_count,
                           std::vector<LargestComponentCurve> per_step_curves,
                           std::vector<CurveMergeEvent>& event_scratch);
@@ -60,9 +60,14 @@ class MobileConnectivityTrace {
 
   /// Minimum range at which the mean (over all steps) largest-component size
   /// reaches phi * n (the paper's rl90/rl75/rl50). Requires phi in (0, 1].
+  /// Walks the delta histogram to the first bin whose running total reaches
+  /// the target, then gathers and sorts only that bin's breakpoints: O(B +
+  /// steps log b + k log k) for B bins, b breakpoints per step and k in the
+  /// bin (~64 on average).
   double range_for_mean_component_fraction(double phi) const;
 
-  /// Mean largest-component fraction at range r over all steps.
+  /// Mean largest-component fraction at range r over all steps. O(steps log
+  /// b): one lookup per step curve.
   double mean_largest_fraction_at(double range) const;
 
   /// Mean largest-component fraction at range r over the *disconnected*
@@ -92,21 +97,17 @@ class MobileConnectivityTrace {
   std::span<const double> critical_radius_timeline() const noexcept { return timeline_rc_; }
 
  private:
-  /// Shared constructor body; `events` is merge scratch (cleared first).
-  void build(std::vector<CurveMergeEvent>& events);
-
   std::size_t n_;
   std::vector<LargestComponentCurve> curves_;
   std::vector<double> sorted_rc_;
   std::vector<double> timeline_rc_;
 
-  /// Merged mean largest-component curve: after all events with
-  /// event.range <= r, the mean largest-component size is event.mean_size.
-  struct MeanEvent {
-    double range;
-    double mean_size;
-  };
-  std::vector<MeanEvent> mean_curve_;
+  /// Sum over steps of the largest-component size at range 0: the first
+  /// breakpoint sizes plus the deltas of breakpoints at range exactly 0.
+  std::size_t total_at_zero_ = 0;
+  /// delta_histogram_[b]: the summed size deltas of every positive-range
+  /// breakpoint in bin b (B = delta_histogram_.size(), a power of two).
+  std::vector<std::size_t> delta_histogram_;
 };
 
 /// Runs one mobile iteration: deploys n nodes uniformly, initializes the
@@ -147,7 +148,7 @@ MobileConnectivityTrace run_mobile_trace(std::size_t n, const Box<D>& box, std::
                                 [&box](const Point<D>& p) { return box.contains(p); }));
     curves.push_back(kinetic_component_curve<D>(positions, box, ws, /*first_step=*/false));
   }
-  return MobileConnectivityTrace(n, std::move(curves), ws.merge_events);
+  return MobileConnectivityTrace(n, std::move(curves));
 }
 
 }  // namespace manet

@@ -12,10 +12,8 @@
 
 namespace manet {
 
-/// One breakpoint-merge event of the mean largest-component curve: a step
-/// gains `delta` nodes in its largest component at `range`. Lives here (not
-/// inside MobileConnectivityTrace) so the merge buffer can be pooled in a
-/// TraceWorkspace.
+/// Shim kept for perfbench; delete with the next benchmark change. Nothing
+/// fills a buffer of these.
 struct CurveMergeEvent {
   double range;
   double delta;
@@ -30,8 +28,7 @@ struct CurveMergeEvent {
 ///
 /// Reuse contract:
 ///   - reused across calls: the kinetic engine's cell grid, candidate-edge
-///     and tree buffers, the union-find, the breakpoint scratch, and the
-///     mean-curve merge-event buffer (capacity only);
+///     and tree buffers, the union-find and the breakpoint scratch;
 ///   - the kinetic engine deliberately carries its candidate set, cell grid
 ///     and previous positions between the steps of one trace — that reuse is
 ///     the speedup — but its repair invariant makes every step's output
@@ -46,6 +43,8 @@ struct TraceWorkspace {
   KineticEmstEngine<D> kinetic;
   UnionFind dsu{0};
   std::vector<LargestComponentCurve::Breakpoint> breakpoints;
+  /// Shim kept for perfbench; delete with the next benchmark change. Always
+  /// empty: run_mobile_trace does not use it.
   std::vector<CurveMergeEvent> merge_events;
   /// Pooled position buffer run_mobile_trace deploys into and steps the
   /// mobility model through — reusing it across the traces of a sweep saves

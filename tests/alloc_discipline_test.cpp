@@ -82,7 +82,7 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
 
   TraceWorkspace<2> workspace;
   // Warm-up: grows every pooled buffer (grid bins, candidate edges, DSU,
-  // breakpoint scratch, merge-event scratch) to steady-state capacity. Both
+  // breakpoint scratch) to steady-state capacity. Both
   // lengths run once — the rare fallback steps (radius growth/shrink
   // rebuilds) regrid at radii that depend on where in the trajectory the
   // trace ends, so each length's first run can grow a pooled bin vector a
@@ -98,12 +98,42 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   const double per_step =
       static_cast<double>(long_allocs - short_allocs) / static_cast<double>(delta_steps);
   // Each step retains exactly one allocation (the curve's breakpoint buffer);
-  // everything else is pooled. Amortized vector growth in the final trace
-  // aggregation adds a logarithmic number of extra allocations, so the
+  // everything else is pooled, and the final trace aggregation makes a fixed
+  // number of allocations (TraceBuildAllocationsDoNotGrowWithEvents), so the
   // per-step average must stay close to 1 — and far below the O(n) per step
   // (~160 here) that per-step buffer churn would cost.
   EXPECT_LE(per_step, 3.0) << "long=" << long_allocs << " short=" << short_allocs;
   EXPECT_GE(per_step, 1.0);
+}
+
+std::size_t count_trace_build_allocations(const LargestComponentCurve& curve, std::size_t steps) {
+  std::vector<LargestComponentCurve> curves(steps, curve);
+  g_news = 0;
+  g_counting = true;
+  const MobileConnectivityTrace trace(curve.node_count(), std::move(curves));
+  g_counting = false;
+  EXPECT_EQ(trace.steps(), steps);
+  return g_news;
+}
+
+TEST(AllocDiscipline, TraceBuildAllocationsDoNotGrowWithEvents) {
+  // Aggregating the step curves into a trace keeps fixed-size summaries (the
+  // critical-radius timeline, its sorted copy, one delta histogram): no
+  // buffer grows by push_back with the number of breakpoints.
+  const std::size_t n = 64;
+  std::vector<Point2> points;
+  Rng rng(0xC0DE);
+  uniform_deployment(n, Box2(16.0), rng, points);
+  EmstEngine<2> engine;
+  const auto tree = engine.euclidean(points, Box2(16.0));
+  UnionFind dsu(n);
+  std::vector<LargestComponentCurve::Breakpoint> scratch;
+  const LargestComponentCurve curve(n, tree, dsu, scratch);
+  ASSERT_GT(curve.breakpoints().size(), 2u);
+
+  const std::size_t few = count_trace_build_allocations(curve, 100);
+  const std::size_t many = count_trace_build_allocations(curve, 10'000);
+  EXPECT_EQ(few, many);
 }
 
 TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
