@@ -17,7 +17,9 @@
 #include "support/stats.hpp"
 #include "topology/critical_range.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -63,3 +65,7 @@ int main(int argc, char** argv) {
                "Ablation beyond the paper: bounded square vs flat torus. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -18,7 +18,9 @@
 #include "support/stats.hpp"
 #include "topology/range_assignment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -59,3 +61,7 @@ int main(int argc, char** argv) {
                "Ablation beyond the paper: per-node (MST) vs homogeneous ranges. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -14,7 +14,9 @@
 #include "common/figure_bench.hpp"
 #include "core/availability.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -51,3 +53,7 @@ int main(int argc, char** argv) {
                "See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -39,12 +39,7 @@ std::optional<FigureOptions> parse_figure_options(int argc, const char* const* a
     service::add_drain_cli_options(cli);
   }
 
-  try {
-    cli.parse(argc, argv);
-  } catch (const ConfigError& error) {
-    std::cerr << error.what() << '\n';
-    return std::nullopt;
-  }
+  cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text();
     return std::nullopt;
@@ -57,8 +52,7 @@ std::optional<FigureOptions> parse_figure_options(int argc, const char* const* a
   options.metrics = cli.flag("metrics");
   options.rs_quantile = cli.double_value("rs-quantile");
   if (!(options.rs_quantile > 0.0 && options.rs_quantile <= 1.0)) {
-    std::cerr << "--rs-quantile must be in (0, 1]\n";
-    return std::nullopt;
+    throw ConfigError("--rs-quantile must be in (0, 1]");
   }
   if (cli.was_set("iterations")) {
     options.iterations = static_cast<std::size_t>(cli.uint_value("iterations"));
@@ -71,8 +65,7 @@ std::optional<FigureOptions> parse_figure_options(int argc, const char* const* a
   if (with_campaign && (campaign::campaign_requested(cli) || service::drain_requested(cli))) {
     options.campaign = true;
     options.campaign_name = campaign_name_from_summary(summary);
-    // Inconsistent campaign/drain flags raise ConfigError out of here; the
-    // campaign-enabled figure mains convert that into exit code 1.
+    // Inconsistent campaign/drain flags raise ConfigError out of here.
     options.campaign_options = campaign::campaign_options_from_cli(cli, options.campaign_name);
     if (service::drain_requested(cli)) {
       options.distributed = true;
@@ -80,6 +73,15 @@ std::optional<FigureOptions> parse_figure_options(int argc, const char* const* a
     }
   }
   return options;
+}
+
+int figure_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const ConfigError& error) {
+    std::cerr << error.what() << '\n';
+    return 1;
+  }
 }
 
 std::unique_ptr<MtrmSweepExecutor> make_sweep_executor(const FigureOptions& options) {

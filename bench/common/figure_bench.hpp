@@ -60,14 +60,18 @@ struct FigureOptions {
   }
 };
 
-/// Registers the standard flags, parses argv, and prints help when asked.
-/// Returns nullopt (after printing) when the program should exit.
-/// `with_campaign` additionally registers the --campaign flag family
-/// (campaign/cli.hpp); inconsistent campaign flags raise ConfigError, which
-/// campaign-enabled figure mains catch and turn into exit code 1.
+/// Registers the standard flags and parses argv. Returns nullopt after
+/// printing the help text for --help; every invalid flag or value (unknown
+/// flag, bad number, --rs-quantile outside (0, 1], inconsistent campaign
+/// flags) raises ConfigError. `with_campaign` additionally registers the
+/// --campaign flag family (campaign/cli.hpp).
 std::optional<FigureOptions> parse_figure_options(int argc, const char* const* argv,
                                                   const std::string& summary,
                                                   bool with_campaign = false);
+
+/// The body of every figure binary's main: runs `run`, and turns a
+/// ConfigError escaping it into a one-line message and exit code 1.
+int figure_main(int argc, char** argv, int (*run)(int, char**));
 
 /// Builds the sweep executor the parsed options ask for: nullptr (legacy
 /// in-process sweep), a campaign::CampaignRunner (--campaign), or a

@@ -17,7 +17,9 @@
 #include "common/figure_bench.hpp"
 #include "core/theory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -63,3 +65,7 @@ int main(int argc, char** argv) {
                "Theorem 5 scale l*ln(l)/n. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

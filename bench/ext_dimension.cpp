@@ -30,9 +30,7 @@ double stationary_range_d(std::size_t n, double l, std::size_t trials, double qu
   return estimate_mtr<D>(n, region, options, rng).range;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto options = parse_figure_options(
       argc, argv, "ext_dimension: the n * r^d connectivity invariant in d = 1, 2, 3");
   if (!options) return 0;
@@ -64,3 +62,7 @@ int main(int argc, char** argv) {
                "dimensions. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

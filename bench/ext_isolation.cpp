@@ -21,7 +21,9 @@
 #include "support/stats.hpp"
 #include "topology/critical_range.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -64,3 +66,7 @@ int main(int argc, char** argv) {
                "See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -40,9 +40,7 @@ MobilityConfig model_config(MobilityKind kind, double l) {
   return MobilityConfig::stationary();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto options = parse_figure_options(
       argc, argv,
       "ext_mobility_models: r_x/r_stationary for waypoint vs drunkard vs "
@@ -83,3 +81,7 @@ int main(int argc, char** argv) {
                "Extension beyond the paper: no published reference series. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

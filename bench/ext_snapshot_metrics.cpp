@@ -17,7 +17,9 @@
 #include "sim/mobile_trace.hpp"
 #include "sim/snapshot_stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -65,3 +67,7 @@ int main(int argc, char** argv) {
                "Extension beyond the paper: no published reference series. See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -37,11 +37,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const manet::ConfigError& error) {
-    std::cerr << error.what() << '\n';
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

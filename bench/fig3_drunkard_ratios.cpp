@@ -10,7 +10,9 @@
 
 #include "common/figure_bench.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -28,3 +30,7 @@ int main(int argc, char** argv) {
                    "Figure 3 — r_x / r_stationary vs l (drunkard)", paper);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

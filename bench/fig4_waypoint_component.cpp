@@ -10,7 +10,9 @@
 
 #include "common/figure_bench.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -29,3 +31,7 @@ int main(int argc, char** argv) {
                        paper);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -9,7 +9,9 @@
 
 #include "common/figure_bench.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -52,3 +54,7 @@ int main(int argc, char** argv) {
                "Figure 6 — rl_phi / r_stationary vs l (random waypoint)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -44,9 +44,7 @@ MuSample simulate_mu(std::uint64_t n, std::uint64_t C, std::size_t trials, Rng& 
   return sample;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -131,3 +129,7 @@ int main(int argc, char** argv) {
                "Lemma 2 (C) — P(10*1 | mu = k) -> 1 as C grows with 0 < k << C");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

@@ -16,7 +16,9 @@
 #include "core/dimensioning.hpp"
 #include "sim/stationary_sample.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -72,3 +74,7 @@ int main(int argc, char** argv) {
                "See EXPERIMENTS.md.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

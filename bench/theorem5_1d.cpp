@@ -54,9 +54,7 @@ double probability_pattern_1d(double l, std::size_t n, double r, std::size_t tri
   return static_cast<double>(hits) / static_cast<double>(trials);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace manet;
   using namespace manet::bench;
   const auto options = parse_figure_options(
@@ -124,3 +122,7 @@ int main(int argc, char** argv) {
                "Theta(1), n = l/4");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return manet::bench::figure_main(argc, argv, run); }

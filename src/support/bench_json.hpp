@@ -9,8 +9,8 @@
 namespace manet {
 
 /// The one JSON schema every machine-readable performance / campaign
-/// artifact in this repo is emitted through (bench/perf_*, the figure
-/// campaigns' result.json, results/BENCH_*.json baselines):
+/// artifact in this repo is emitted through (the figures' --metrics
+/// section, the campaigns' result.json and metrics.json):
 ///
 ///   {
 ///     "schema_version": 1,
@@ -21,14 +21,13 @@ namespace manet {
 ///     ...artifact-specific extra fields...
 ///   }
 ///
-/// Keeping name/params/samples uniform is what makes the perf trajectory
-/// machine-readable across PRs: a script can diff BENCH files from different
-/// commits without per-bench parsers. `git_describe` records provenance; for
+/// Keeping name/params/samples uniform lets a script diff artifacts from
+/// different commits without per-artifact parsers. `git_describe` records provenance; for
 /// deterministic artifacts that must be byte-comparable across *runs of the
 /// same build* (campaign result.json) it is constant, because the binary is.
 class BenchReport {
  public:
-  /// `name` identifies the artifact ("emst_grid_vs_dense", "campaign_fig7").
+  /// `name` identifies the artifact ("campaign_fig7").
   explicit BenchReport(std::string name);
 
   /// Workload / configuration knobs (rendered under "params", insertion

@@ -19,8 +19,8 @@
 ///    [0, l]^d. They sit inside loops executed millions of times, so they
 ///    abort (debugger- and death-test-friendly) instead of throwing, are
 ///    active in Debug and sanitizer builds, and compile to *nothing* in
-///    Release (verified by the contract-overhead benchmarks in
-///    bench/perf_substrate.cpp).
+///    Release: the guarded expression is not even evaluated
+///    (Contracts.CompiledOutInRelease in tests/contracts_test.cpp).
 ///
 /// Activation: CMake defines `MANET_ENABLE_CONTRACTS=1` whenever
 /// `MANET_SANITIZE` is non-empty; otherwise the checks follow NDEBUG (on in

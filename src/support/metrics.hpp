@@ -51,7 +51,8 @@ namespace manet::metrics {
 ///
 /// With MANET_METRICS=0 the whole API compiles to no-op stubs (empty
 /// handles, constexpr bodies); call sites are unchanged and the optimizer
-/// deletes them — bench/perf_mst.cpp doubles as the overhead gate.
+/// deletes them. The release-nometrics CI leg builds that way and runs the
+/// whole test suite, golden checksums included.
 
 /// True when the layer is compiled in (MANET_METRICS != 0).
 constexpr bool compiled_in() noexcept { return MANET_METRICS != 0; }
@@ -217,8 +218,7 @@ inline void reset() noexcept {}
 #endif  // MANET_METRICS
 
 /// Renders a snapshot as the deterministic "metrics" JSON section used by
-/// the BenchReport artifacts (bench/perf_*, figure --metrics, campaign
-/// metrics.json):
+/// the BenchReport artifacts (figure --metrics, campaign metrics.json):
 ///
 ///   { "enabled": true,
 ///     "counters": { "<name>": <u64>, ... },      // sorted by name

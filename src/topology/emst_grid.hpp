@@ -26,8 +26,8 @@ inline double emst_initial_radius(std::size_t n, double side) noexcept {
   return side * std::pow(frac, 1.0 / static_cast<double>(D));
 }
 
-/// Per-solve diagnostics of the adaptive EMST engine, exposed for the perf
-/// bench (bench/perf_mst.cpp) and the property tests.
+/// Per-solve diagnostics of the adaptive EMST engine, exposed for the
+/// property tests.
 struct EmstGridStats {
   std::size_t rounds = 0;           ///< adaptive doubling rounds taken (grid path)
   std::size_t candidate_edges = 0;  ///< edges enumerated in the final round
@@ -56,8 +56,8 @@ struct EmstGridStats {
 /// cost is O(n log n) per solve instead of dense Prim's O(n^2).
 ///
 /// VALUE IDENTITY: the returned tree has exactly the same edge-weight
-/// multiset as the dense reference (`mst_with_metric` in topology/mst.hpp,
-/// which only the tests and bench/perf_mst call) — all
+/// multiset as the dense reference (`mst_with_metric`, a test-only oracle in
+/// tests/support/reference_mst.hpp) — all
 /// minimum spanning trees of a graph share it — and weights go through the
 /// same squared-distance + covering_radius arithmetic, so every quantity the
 /// simulator derives from the tree (bottleneck / critical radius,

@@ -18,7 +18,7 @@
 namespace manet {
 
 /// Cumulative per-trace diagnostics of the kinetic engine, exposed for
-/// bench/perf_kinetic.cpp and the kinetic test layer. Reset by start().
+/// perfbench's traced runs and the kinetic test layer. Reset by start().
 struct KineticStats {
   std::size_t steps = 0;               ///< advance() calls since start()
   std::size_t incremental_repairs = 0; ///< steps served by the delta path

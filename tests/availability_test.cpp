@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/reference_mst.hpp"
 #include "topology/critical_range.hpp"
-#include "topology/mst.hpp"
 
 namespace manet {
 namespace {

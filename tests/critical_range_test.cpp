@@ -8,6 +8,7 @@
 #include "geometry/box.hpp"
 #include "graph/link_model.hpp"
 #include "sim/deployment.hpp"
+#include "support/reference_mst.hpp"
 #include "support/rng.hpp"
 #include "topology/mst.hpp"
 

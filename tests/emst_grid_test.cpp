@@ -14,6 +14,7 @@
 #include "graph/union_find.hpp"
 #include "sim/deployment.hpp"
 #include "sim/trace_workspace.hpp"
+#include "support/reference_mst.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
 #include "topology/mst.hpp"
@@ -120,6 +121,26 @@ std::vector<Point<D>> clustered_deployment(std::size_t n, const Box<D>& box,
   return points;
 }
 
+// One uniform point set through the grid engine, dense Prim and the
+// all-pairs Kruskal reference: all three must agree bitwise.
+template <int D>
+void check_uniform_point_set(std::size_t n, double side, Rng& rng) {
+  const Box<D> box(side);
+  const auto points = uniform_deployment(n, box, rng);
+  EmstEngine<D> engine;
+  const auto grid = engine.euclidean(points, box);
+  EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<D>::kDenseCutoff)
+      << "n=" << n << " side=" << side;
+  const auto dense = euclidean_mst<D>(points);
+  expect_value_identical(n, dense, grid);
+  const auto reference = kruskal_reference_weights(points);
+  const auto grid_sorted = sorted_weights(grid);
+  ASSERT_EQ(reference.size(), grid_sorted.size()) << "n=" << n << " side=" << side;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i], grid_sorted[i]) << "n=" << n << " side=" << side << " rank=" << i;
+  }
+}
+
 template <int D>
 void check_uniform_configs() {
   Rng rng(0x9E3779B9u + static_cast<unsigned>(D));
@@ -129,26 +150,20 @@ void check_uniform_configs() {
   for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{7}, std::size_t{31},
                         std::size_t{32}, std::size_t{33}, std::size_t{100}, kCutoff - 1,
                         kCutoff, kCutoff + 1, std::size_t{300}}) {
-    for (double side : {1.0, 50.0, 2000.0}) {
-      const Box<D> box(side);
-      const auto points = uniform_deployment(n, box, rng);
-      EmstEngine<D> engine;
-      const auto grid = engine.euclidean(points, box);
-      EXPECT_EQ(engine.stats().dense_fallback, n < kCutoff) << "n=" << n << " side=" << side;
-      const auto dense = euclidean_mst<D>(points);
-      expect_value_identical(n, dense, grid);
-      const auto reference = kruskal_reference_weights(points);
-      const auto grid_sorted = sorted_weights(grid);
-      ASSERT_EQ(reference.size(), grid_sorted.size()) << "n=" << n << " side=" << side;
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(reference[i], grid_sorted[i]) << "n=" << n << " side=" << side << " rank=" << i;
-      }
-    }
+    for (double side : {1.0, 50.0, 2000.0}) check_uniform_point_set<D>(n, side, rng);
   }
 }
 
 TEST(EmstGrid, MatchesDenseAndKruskalUniform1D) { check_uniform_configs<1>(); }
-TEST(EmstGrid, MatchesDenseAndKruskalUniform2D) { check_uniform_configs<2>(); }
+TEST(EmstGrid, MatchesDenseAndKruskalUniform2D) {
+  check_uniform_configs<2>();
+  // The paper's l = 1024 region at n = 256 and 1024, drawn in that order
+  // from seed 1: the largest grid-path inputs of this suite.
+  Rng rng(1);
+  for (std::size_t n : {std::size_t{256}, std::size_t{1024}}) {
+    check_uniform_point_set<2>(n, 1024.0, rng);
+  }
+}
 TEST(EmstGrid, MatchesDenseAndKruskalUniform3D) { check_uniform_configs<3>(); }
 
 TEST(EmstGrid, MatchesDenseOnClusteredConfigs) {

@@ -183,6 +183,12 @@ TEST(KineticDifferential, PaperMobilityDefaultsMatchBatch2D) {
       run_differential_trace<2>(160, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
   EXPECT_FALSE(waypoint.dense_mode);
   EXPECT_FALSE(drunkard.dense_mode);
+  // The same waypoint defaults at n = 1024 in the paper's l = 1024 region,
+  // seed 1, 300 steps: the largest kinetic trace of this suite.
+  const auto large =
+      run_differential_trace<2>(1024, 1024.0, MobilityConfig::paper_waypoint(1024.0), 300, 1);
+  EXPECT_FALSE(large.dense_mode);
+  EXPECT_GT(large.incremental_repairs, 0u);
 }
 
 TEST(KineticDifferential, PaperFigureShapesMatchBatch2D) {

@@ -435,5 +435,20 @@ TEST(LintPolicy, RejectsMalformedDocuments) {
                ConfigError);
 }
 
+TEST(LintPolicy, ReportsAllowEntriesWhoseFileIsNotScanned) {
+  const Policy policy = parse_policy(
+      "{\"schema_version\": 1, \"allow\": ["
+      "{\"rule\": \"nondet-time\", \"file\": \"src/core/foo.cpp\", \"reason\": \"x\"}, "
+      "{\"rule\": \"nondet-time\", \"file\": \"bench/gone.cpp\", \"reason\": \"y\"}]}");
+  const std::vector<std::string> scanned = {"bench/fig2.cpp", "src/core/foo.cpp"};
+  const std::vector<PolicyEntry> stale = stale_allow_entries(policy, scanned);
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].file, "bench/gone.cpp");
+  EXPECT_EQ(stale[0].rule, "nondet-time");
+
+  const std::vector<std::string> all = {"bench/gone.cpp", "src/core/foo.cpp"};
+  EXPECT_TRUE(stale_allow_entries(policy, all).empty());
+}
+
 }  // namespace
 }  // namespace manet::lint

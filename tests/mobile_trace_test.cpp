@@ -14,6 +14,7 @@
 #include "geometry/box.hpp"
 #include "mobility/factory.hpp"
 #include "support/error.hpp"
+#include "support/reference_mst.hpp"
 #include "support/rng.hpp"
 #include "topology/mst.hpp"
 

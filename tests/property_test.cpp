@@ -12,6 +12,7 @@
 #include "occupancy/occupancy.hpp"
 #include "sim/deployment.hpp"
 #include "sim/mobile_trace.hpp"
+#include "support/reference_mst.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
 #include "topology/mst.hpp"

@@ -7,6 +7,7 @@
 #include "geometry/box.hpp"
 #include "sim/deployment.hpp"
 #include "support/error.hpp"
+#include "support/reference_mst.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
 #include "topology/mst.hpp"

@@ -78,8 +78,8 @@ std::vector<Rule> build_rules() {
 
   table.push_back(Rule{
       "nondet-time",
-      "wall-clock reads are confined to the metrics layer and timing benches "
-      "(results must never depend on when they were computed)",
+      "wall-clock reads are confined to the metrics layer and policy-granted "
+      "files (results must never depend on when they were computed)",
       {"src", "bench"},
       {"src/support/metrics.hpp", "src/support/metrics.cpp"},
       {component("chrono"), component("steady_clock"), component("system_clock"),
@@ -487,6 +487,18 @@ Policy parse_policy(std::string_view json_text) {
     policy.allow.push_back(std::move(entry));
   }
   return policy;
+}
+
+std::vector<PolicyEntry> stale_allow_entries(const Policy& policy,
+                                             std::span<const std::string> scanned_files) {
+  std::vector<PolicyEntry> stale;
+  for (const PolicyEntry& entry : policy.allow) {
+    if (std::find(scanned_files.begin(), scanned_files.end(), entry.file) ==
+        scanned_files.end()) {
+      stale.push_back(entry);
+    }
+  }
+  return stale;
 }
 
 std::vector<Diagnostic> lint_source(std::string_view path, std::string_view text,

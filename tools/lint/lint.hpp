@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,6 +96,13 @@ struct Policy {
 /// ConfigErrors — a stale or hand-mangled policy must not silently widen
 /// the allowlist.
 Policy parse_policy(std::string_view json_text);
+
+/// The allow entries whose `file` is not among `scanned_files`
+/// (repo-relative, forward slashes): grants that outlived their file. The
+/// driver reports each one and fails, so a deleted file's exemption cannot
+/// linger in the policy and silently cover a future file of the same name.
+std::vector<PolicyEntry> stale_allow_entries(const Policy& policy,
+                                             std::span<const std::string> scanned_files);
 
 /// Lints one file's contents against every rule whose scope covers `path`
 /// (repo-relative, forward slashes). Diagnostics come back in source order.

@@ -1,6 +1,7 @@
 // manet-lint driver: walks src/, bench/, tests/ and tools/ under the repo
 // root, lints every C++ source against the determinism rule table (lint.hpp)
-// and exits nonzero on any unsuppressed violation. Run locally via the `lint`
+// and exits nonzero on any unsuppressed violation or on a policy allow entry
+// whose file is not among the scanned sources. Run locally via the `lint`
 // CMake target or scripts/run_static_analysis.sh; CI runs it on every PR.
 
 #include <algorithm>
@@ -90,6 +91,13 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    const std::vector<manet::lint::PolicyEntry> stale =
+        manet::lint::stale_allow_entries(policy, files);
+    for (const manet::lint::PolicyEntry& entry : stale) {
+      std::cout << policy_path.generic_string() << ": stale allow entry: '" << entry.rule
+                << "' for " << entry.file << ", which is not among the scanned sources\n";
+    }
+
     std::size_t violation_count = 0;
     std::size_t files_with_violations = 0;
     for (const std::string& file : files) {
@@ -103,9 +111,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (violation_count > 0) {
+    if (violation_count > 0 || !stale.empty()) {
       std::cerr << "manet-lint: " << violation_count << " violation(s) in "
-                << files_with_violations << " of " << files.size() << " files\n";
+                << files_with_violations << " of " << files.size() << " files, "
+                << stale.size() << " stale allow entries\n";
       return 1;
     }
     std::cout << "manet-lint: OK (" << files.size() << " files clean)\n";
