@@ -12,15 +12,17 @@
 //
 //   sum = 0; for each axis i in 0..D-1: d = a_i - b_i; sum += d * d
 //
-// The accumulation order is per-axis, fixed, and identical in the scalar,
-// portable-batch, and AVX2 paths, so every pair's d2 is bit-identical no
-// matter which path computed it. The AVX2 kernels are lane-wise translations
-// of the same sequence — subtract, multiply, add as separate correctly-
-// rounded IEEE-754 operations. Fused multiply-add is deliberately never
-// used (it would change the rounding of d*d + sum), and the build compiles
-// with -ffp-contract=off so the compiler cannot introduce contractions
-// behind our back either (see DESIGN.md §15 for the full bit-identity
-// argument).
+// The accumulation order is per-axis, fixed, and identical on every path,
+// so every pair's d2 is bit-identical no matter which path computed it.
+// Each elementwise kernel is ONE portable loop; `with_best_isa` runs it as
+// compiled for the build's baseline ISA or compiled a second time for AVX2
+// (the vectorizer turns the same source into 256-bit lanes). Subtract,
+// multiply and add stay separate correctly-rounded IEEE-754 operations:
+// fused multiply-add is never used (it would change the rounding of
+// d*d + sum), and the build compiles with -ffp-contract=off so the compiler
+// cannot contract behind our back either. The dense Prim round is the one
+// hand-written intrinsic kernel (see DESIGN.md §15 for the bit-identity
+// argument and for why Prim keeps its intrinsics).
 //
 // This is the ONLY file in src/ allowed to include SIMD intrinsics headers
 // or query CPU features (enforced by the manet-lint `simd-confinement`
@@ -28,6 +30,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -79,8 +82,61 @@ double torus_squared_distance_scalar(const double* a, const double* b, double si
 }
 
 // ---------------------------------------------------------------------------
-// Portable batch kernels — plain loops in the same per-element order, written
-// over SoA axes so the auto-vectorizer can work even without the AVX2 path.
+// ISA dispatch. One cached CPUID probe, and one helper that runs a kernel's
+// portable loop either as compiled for the build's baseline ISA or compiled
+// a second time for AVX2. Non-x86 builds and pre-AVX2 hardware run the
+// baseline form; a build whose baseline already has AVX2 (-march=x86-64-v3)
+// has no second compilation: its baseline loop is the AVX2 code.
+// ---------------------------------------------------------------------------
+
+inline bool cpu_has_avx2() noexcept {
+#if MANET_KERNELS_X86
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+#if MANET_KERNELS_X86 && !defined(__AVX2__)
+namespace detail {
+
+/// `flatten` inlines `body` and the portable loop it calls into this AVX2
+/// function, so the vectorizer emits 256-bit code from the one source. GCC
+/// never inlines an AVX2 function into a baseline caller, so each
+/// instantiation stays a symbol of its own, which
+/// scripts/check_avx2_clones.sh checks for vector code.
+template <class Body>
+__attribute__((target("avx2"), flatten)) void run_avx2(const Body& body) noexcept {
+  body();
+}
+
+}  // namespace detail
+#endif
+
+/// Runs `body` (a call of a portable kernel) in its AVX2 compilation when the
+/// CPU has AVX2, else as compiled for the baseline ISA. Both forms execute
+/// the same per-element operation sequence, so the results are bit-identical.
+template <class Body>
+inline void with_best_isa(const Body& body) noexcept {
+#if MANET_KERNELS_X86 && !defined(__AVX2__)
+  if (cpu_has_avx2()) {
+    detail::run_avx2(body);
+    return;
+  }
+#endif
+  body();
+}
+
+// ---------------------------------------------------------------------------
+// Elementwise kernels. Each `_portable` loop is the kernel's only body: it
+// keeps the scalar core's per-element order and is written so that the
+// vectorizer accepts it (no short-circuit, no conditional store, no char
+// store that may alias the inputs). The dispatched form runs the same loop
+// through with_best_isa.
 // ---------------------------------------------------------------------------
 
 /// out[k] = squared_distance(axes[.][k], q) for k in [0, count).
@@ -97,74 +153,91 @@ void batch_squared_distance_portable(const AxisPointers<D>& axes, std::size_t co
   }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 batch kernels. Lane-wise translation of the scalar core: every lane
-// performs the identical scalar operation sequence, so results are bitwise
-// equal. No FMA — see the header comment.
-// ---------------------------------------------------------------------------
-
-#if MANET_KERNELS_X86
-
-template <int D>
-__attribute__((target("avx2"))) void batch_squared_distance_avx2(
-    const AxisPointers<D>& axes, std::size_t count, const double* q, double* out) noexcept {
-  const __m256d q0 = _mm256_set1_pd(q[0]);
-  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
-  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(out + k, sum);
-  }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      sum += d * d;
-    }
-    out[k] = sum;
-  }
-}
-
-#endif  // MANET_KERNELS_X86
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch. One cached CPUID probe; falls back to the portable path
-// on non-x86 builds or pre-AVX2 hardware.
-// ---------------------------------------------------------------------------
-
-inline bool cpu_has_avx2() noexcept {
-#if MANET_KERNELS_X86
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
 /// out[k] = squared_distance(axes[.][k], q); bit-identical to the scalar core.
 template <int D>
 inline void batch_squared_distance(const AxisPointers<D>& axes, std::size_t count,
                                    const double* q, double* out) noexcept {
-#if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    batch_squared_distance_avx2<D>(axes, count, q, out);
-    return;
+  with_best_isa([&] { batch_squared_distance_portable<D>(axes, count, q, out); });
+}
+
+/// out[k] = 1 when the k-th tuples of `a` and `b` differ in any axis
+/// (IEEE `!=` per coordinate, exactly `!(Point == Point)`), else 0. Used by
+/// the kinetic engine's moved-node detection. `out` is `__restrict`: a byte
+/// store may otherwise alias the coordinates and keeps the loop scalar.
+template <int D>
+void batch_tuple_not_equal_portable(const AxisPointers<D>& a, const AxisPointers<D>& b,
+                                    std::size_t count, std::uint8_t* __restrict out) noexcept {
+  for (std::size_t k = 0; k < count; ++k) {
+    bool neq = false;
+    for (int i = 0; i < D; ++i) {
+      neq |= a[static_cast<std::size_t>(i)][k] != b[static_cast<std::size_t>(i)][k];
+    }
+    out[k] = static_cast<std::uint8_t>(neq);
   }
-#endif
-  batch_squared_distance_portable<D>(axes, count, q, out);
+}
+
+/// Moved-node detection over two SoA snapshots; see the portable form for
+/// the exact semantics.
+template <int D>
+inline void batch_tuple_not_equal(const AxisPointers<D>& a, const AxisPointers<D>& b,
+                                  std::size_t count, std::uint8_t* out) noexcept {
+  with_best_isa([&] { batch_tuple_not_equal_portable<D>(a, b, count, out); });
+}
+
+/// out[k] = distance between the k-th tuples of `a` and `b`:
+/// sqrt(sum_i (a_i - b_i)^2) in the fixed per-axis order. sqrt is an IEEE
+/// correctly-rounded operation, so the vectorized form (vsqrtpd) is
+/// bit-identical to std::sqrt lane by lane; the build's -fno-math-errno lets
+/// the vectorizer use it. Used by the waypoint model's leg-progress pass.
+template <int D>
+void batch_pair_distance_portable(const AxisPointers<D>& a, const AxisPointers<D>& b,
+                                  std::size_t count, double* out) noexcept {
+  for (std::size_t k = 0; k < count; ++k) {
+    double sum = 0.0;
+    for (int i = 0; i < D; ++i) {
+      const double d = a[static_cast<std::size_t>(i)][k] - b[static_cast<std::size_t>(i)][k];
+      sum += d * d;
+    }
+    out[k] = std::sqrt(sum);
+  }
+}
+
+/// Pairwise Euclidean distance over two SoA blocks; bit-identical to
+/// `distance(a_k, b_k)` per element.
+template <int D>
+inline void batch_pair_distance(const AxisPointers<D>& a, const AxisPointers<D>& b,
+                                std::size_t count, double* out) noexcept {
+  with_best_isa([&] { batch_pair_distance_portable<D>(a, b, count, out); });
+}
+
+/// Masked leg advance for the waypoint model: where mask[k] != 0,
+///   pos_i[k] += (dest_i[k] - pos_i[k]) * scale[k]   for each axis i,
+/// exactly the scalar `pos += (dest - pos) * scale`; other lanes are left
+/// untouched. The select is a bit select on the two values, not a
+/// multiply-by-zero (masked lanes cannot pick up -0.0 or NaN from a garbage
+/// scale) and not a conditional store (which keeps the loop scalar).
+template <int D>
+void batch_masked_advance_portable(const MutableAxisPointers<D>& pos, const AxisPointers<D>& dest,
+                                   const double* scale, const std::uint8_t* mask,
+                                   std::size_t count) noexcept {
+  for (int i = 0; i < D; ++i) {
+    double* p = pos[static_cast<std::size_t>(i)];
+    const double* t = dest[static_cast<std::size_t>(i)];
+    for (std::size_t k = 0; k < count; ++k) {
+      const double advanced = p[k] + (t[k] - p[k]) * scale[k];
+      const std::uint64_t keep = std::uint64_t{0} - std::uint64_t{mask[k] == 0};
+      p[k] = std::bit_cast<double>((std::bit_cast<std::uint64_t>(advanced) & ~keep) |
+                                   (std::bit_cast<std::uint64_t>(p[k]) & keep));
+    }
+  }
+}
+
+/// Masked waypoint advance; see the portable form for exact semantics.
+template <int D>
+inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPointers<D>& dest,
+                                 const double* scale, const std::uint8_t* mask,
+                                 std::size_t count) noexcept {
+  with_best_isa([&] { batch_masked_advance_portable<D>(pos, dest, scale, mask, count); });
 }
 
 // ---------------------------------------------------------------------------
@@ -304,8 +377,11 @@ struct PrimRoundAvx2 {
 
 }  // namespace detail
 
-/// Lane-wise form of prim_relax_argmin_portable. Two sets of lanes (slots
-/// 8j..8j+3 and 8j+4..8j+7) halve the loop-carried chain. The pick is the
+/// Lane-wise form of prim_relax_argmin_portable, and the one hand-written
+/// intrinsic kernel: the portable round's fused argmin keeps the vectorizer
+/// out, and the one-source forms tried ran ~2x slower (DESIGN.md §15). Two
+/// sets of lanes (slots 8j..8j+3 and 8j+4..8j+7) halve the loop-carried
+/// chain. The pick is the
 /// portable loop's: the lowest slot among the lanes at the smallest key,
 /// then the scalar tail, whose slots follow every lane's.
 template <int D>
@@ -369,7 +445,8 @@ __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
 #endif  // MANET_KERNELS_X86
 
 /// One Euclidean dense Prim round; best, from and the pick are bit-identical
-/// on every path.
+/// on every path. The AVX2 form is a source of its own, so the pick is made
+/// here rather than by with_best_isa.
 template <int D>
 inline PrimPick prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count,
                                   const double* q, std::uint32_t current, double* best,
@@ -378,207 +455,6 @@ inline PrimPick prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count
   if (cpu_has_avx2()) return prim_relax_argmin_avx2<D>(axes, count, q, current, best, from);
 #endif
   return prim_relax_argmin_portable<D>(axes, count, q, current, best, from);
-}
-
-// ---------------------------------------------------------------------------
-// Elementwise trace kernels for the mobility / kinetic layers.
-// ---------------------------------------------------------------------------
-
-/// out[k] = 1 when the k-th tuples of `a` and `b` differ in any axis
-/// (IEEE `!=` per coordinate, exactly `!(Point == Point)`), else 0. Used by
-/// the kinetic engine's moved-node detection.
-template <int D>
-void batch_tuple_not_equal_portable(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                    std::size_t count, std::uint8_t* out) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    bool neq = false;
-    for (int i = 0; i < D; ++i) {
-      neq = neq || (a[static_cast<std::size_t>(i)][k] != b[static_cast<std::size_t>(i)][k]);
-    }
-    out[k] = neq ? std::uint8_t{1} : std::uint8_t{0};
-  }
-}
-
-#if MANET_KERNELS_X86
-
-template <int D>
-__attribute__((target("avx2"))) void batch_tuple_not_equal_avx2(const AxisPointers<D>& a,
-                                                                const AxisPointers<D>& b,
-                                                                std::size_t count,
-                                                                std::uint8_t* out) noexcept {
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    // _CMP_NEQ_UQ matches the semantics of scalar `!=` (unordered => true).
-    __m256d neq = _mm256_cmp_pd(_mm256_loadu_pd(a[0] + k), _mm256_loadu_pd(b[0] + k),
-                                _CMP_NEQ_UQ);
-    if constexpr (D >= 2) {
-      neq = _mm256_or_pd(neq, _mm256_cmp_pd(_mm256_loadu_pd(a[1] + k),
-                                            _mm256_loadu_pd(b[1] + k), _CMP_NEQ_UQ));
-    }
-    if constexpr (D >= 3) {
-      neq = _mm256_or_pd(neq, _mm256_cmp_pd(_mm256_loadu_pd(a[2] + k),
-                                            _mm256_loadu_pd(b[2] + k), _CMP_NEQ_UQ));
-    }
-    const int mask = _mm256_movemask_pd(neq);
-    out[k + 0] = static_cast<std::uint8_t>(mask & 1);
-    out[k + 1] = static_cast<std::uint8_t>((mask >> 1) & 1);
-    out[k + 2] = static_cast<std::uint8_t>((mask >> 2) & 1);
-    out[k + 3] = static_cast<std::uint8_t>((mask >> 3) & 1);
-  }
-  for (; k < count; ++k) {
-    bool neq = false;
-    for (int i = 0; i < D; ++i) {
-      neq = neq || (a[static_cast<std::size_t>(i)][k] != b[static_cast<std::size_t>(i)][k]);
-    }
-    out[k] = neq ? std::uint8_t{1} : std::uint8_t{0};
-  }
-}
-
-#endif  // MANET_KERNELS_X86
-
-/// Moved-node detection over two SoA snapshots; see the portable variant for
-/// the exact semantics.
-template <int D>
-inline void batch_tuple_not_equal(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                  std::size_t count, std::uint8_t* out) noexcept {
-#if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    batch_tuple_not_equal_avx2<D>(a, b, count, out);
-    return;
-  }
-#endif
-  batch_tuple_not_equal_portable<D>(a, b, count, out);
-}
-
-/// out[k] = distance between the k-th tuples of `a` and `b`:
-/// sqrt(sum_i (a_i - b_i)^2) in the fixed per-axis order. sqrt is an IEEE
-/// correctly-rounded operation, so the vectorized form (vsqrtpd) is
-/// bit-identical to std::sqrt lane by lane. Used by the waypoint model's
-/// leg-progress pass.
-template <int D>
-void batch_pair_distance_portable(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                  std::size_t count, double* out) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = a[static_cast<std::size_t>(i)][k] - b[static_cast<std::size_t>(i)][k];
-      sum += d * d;
-    }
-    out[k] = std::sqrt(sum);
-  }
-}
-
-#if MANET_KERNELS_X86
-
-template <int D>
-__attribute__((target("avx2"))) void batch_pair_distance_avx2(const AxisPointers<D>& a,
-                                                              const AxisPointers<D>& b,
-                                                              std::size_t count,
-                                                              double* out) noexcept {
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a[0] + k), _mm256_loadu_pd(b[0] + k));
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(a[1] + k), _mm256_loadu_pd(b[1] + k));
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(a[2] + k), _mm256_loadu_pd(b[2] + k));
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(out + k, _mm256_sqrt_pd(sum));
-  }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = a[static_cast<std::size_t>(i)][k] - b[static_cast<std::size_t>(i)][k];
-      sum += d * d;
-    }
-    out[k] = std::sqrt(sum);
-  }
-}
-
-#endif  // MANET_KERNELS_X86
-
-/// Pairwise Euclidean distance over two SoA blocks; bit-identical to
-/// `distance(a_k, b_k)` per element.
-template <int D>
-inline void batch_pair_distance(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                std::size_t count, double* out) noexcept {
-#if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    batch_pair_distance_avx2<D>(a, b, count, out);
-    return;
-  }
-#endif
-  batch_pair_distance_portable<D>(a, b, count, out);
-}
-
-/// Masked leg advance for the waypoint model: where mask[k] != 0,
-///   pos_i[k] += (dest_i[k] - pos_i[k]) * scale[k]   for each axis i,
-/// exactly the scalar `pos += (dest - pos) * scale`; other lanes are left
-/// untouched (a select, not a multiply-by-zero, so masked lanes cannot pick
-/// up -0.0 or NaN from a garbage scale).
-template <int D>
-void batch_masked_advance_portable(const MutableAxisPointers<D>& pos, const AxisPointers<D>& dest,
-                                   const double* scale, const std::uint8_t* mask,
-                                   std::size_t count) noexcept {
-  for (int i = 0; i < D; ++i) {
-    double* p = pos[static_cast<std::size_t>(i)];
-    const double* t = dest[static_cast<std::size_t>(i)];
-    for (std::size_t k = 0; k < count; ++k) {
-      const double advanced = p[k] + (t[k] - p[k]) * scale[k];
-      p[k] = mask[k] != 0 ? advanced : p[k];
-    }
-  }
-}
-
-#if MANET_KERNELS_X86
-
-template <int D>
-__attribute__((target("avx2"))) void batch_masked_advance_avx2(
-    const MutableAxisPointers<D>& pos, const AxisPointers<D>& dest, const double* scale,
-    const std::uint8_t* mask, std::size_t count) noexcept {
-  for (int i = 0; i < D; ++i) {
-    double* p = pos[static_cast<std::size_t>(i)];
-    const double* t = dest[static_cast<std::size_t>(i)];
-    std::size_t k = 0;
-    for (; k + 4 <= count; k += 4) {
-      // Widen the 4 mask bytes to qword lanes; is_zero lanes keep the old pos.
-      const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(
-          static_cast<unsigned>(mask[k]) | (static_cast<unsigned>(mask[k + 1]) << 8) |
-          (static_cast<unsigned>(mask[k + 2]) << 16) |
-          (static_cast<unsigned>(mask[k + 3]) << 24)));
-      const __m256i wide = _mm256_cvtepu8_epi64(bytes);
-      const __m256i is_zero = _mm256_cmpeq_epi64(wide, _mm256_setzero_si256());
-      const __m256d pv = _mm256_loadu_pd(p + k);
-      const __m256d delta = _mm256_sub_pd(_mm256_loadu_pd(t + k), pv);
-      const __m256d advanced =
-          _mm256_add_pd(pv, _mm256_mul_pd(delta, _mm256_loadu_pd(scale + k)));
-      _mm256_storeu_pd(p + k, _mm256_blendv_pd(advanced, pv, _mm256_castsi256_pd(is_zero)));
-    }
-    for (; k < count; ++k) {
-      const double advanced = p[k] + (t[k] - p[k]) * scale[k];
-      p[k] = mask[k] != 0 ? advanced : p[k];
-    }
-  }
-}
-
-#endif  // MANET_KERNELS_X86
-
-/// Masked waypoint advance; see the portable variant for exact semantics.
-template <int D>
-inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPointers<D>& dest,
-                                 const double* scale, const std::uint8_t* mask,
-                                 std::size_t count) noexcept {
-#if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    batch_masked_advance_avx2<D>(pos, dest, scale, mask, count);
-    return;
-  }
-#endif
-  batch_masked_advance_portable<D>(pos, dest, scale, mask, count);
 }
 
 }  // namespace manet::kernels

@@ -19,11 +19,11 @@ void add_drain_cli_options(CliParser& cli) {
                  "30");
   cli.add_option("drain-poll",
                  "seconds to sleep between claim passes when every remaining unit "
-                 "is leased to another worker",
+                 "is leased to another worker (at most --drain-max-wait)",
                  "0.05");
   cli.add_option("drain-max-wait",
                  "abort after this many seconds of accumulated waiting without any "
-                 "unit completing",
+                 "unit completing (at most 1e9)",
                  "600");
 }
 

@@ -1,5 +1,6 @@
 #include "service/drain.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
@@ -59,14 +60,21 @@ DistributedCampaignRunner::DistributedCampaignRunner(std::string name, DrainOpti
   if (options_.worker.empty()) {
     throw ConfigError("drain: a worker id is required (--worker-id)");
   }
-  if (!(options_.lease_ttl_seconds > 0.0)) {
-    throw ConfigError("drain: --lease-ttl must be > 0 seconds");
+  // Every horizon is a finite positive duration. The poll is bounded by the
+  // stall horizon, and that by kMaxWaitLimit, so sleep_seconds' time_t
+  // conversion is always defined; a poll longer than the stall horizon
+  // could only end the drain by timing out after one full sleep.
+  const double ttl = options_.lease_ttl_seconds;
+  const double max_wait = options_.max_wait_seconds;
+  const double poll = options_.poll_seconds;
+  if (!(ttl > 0.0 && std::isfinite(ttl))) {
+    throw ConfigError("drain: --lease-ttl must be a finite number of seconds > 0");
   }
-  if (!(options_.poll_seconds > 0.0)) {
-    throw ConfigError("drain: --drain-poll must be > 0 seconds");
+  if (!(max_wait > 0.0 && max_wait <= DrainOptions::kMaxWaitLimit)) {
+    throw ConfigError("drain: --drain-max-wait must be > 0 and <= 1e9 seconds");
   }
-  if (!(options_.max_wait_seconds > 0.0)) {
-    throw ConfigError("drain: --drain-max-wait must be > 0 seconds");
+  if (!(poll > 0.0 && poll <= max_wait)) {
+    throw ConfigError("drain: --drain-poll must be > 0 seconds and <= --drain-max-wait");
   }
 }
 

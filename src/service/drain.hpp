@@ -30,8 +30,12 @@ struct DrainOptions {
   /// Abort (ConfigError) after this much accumulated poll sleep without any
   /// unit completing — the campaign is wedged (all holders dead *and* the
   /// TTL never expiring would take a clock going backwards, so in practice
-  /// this fires only on misconfiguration).
+  /// this fires only on misconfiguration). At most kMaxWaitLimit, and at
+  /// least poll_seconds.
   double max_wait_seconds = 600.0;
+  /// Upper bound on max_wait_seconds (~32 years): keeps every sleep inside
+  /// the range of time_t.
+  static constexpr double kMaxWaitLimit = 1e9;
 };
 
 /// Accounting of the last run_points() call on one worker. Unlike

@@ -87,11 +87,12 @@ void check_tuple_not_equal() {
   for (const std::size_t n : kCounts) {
     PointStore<D> a = random_store<D>(n, 0.0, 1.0, rng);
     PointStore<D> b = a;  // start equal everywhere
-    // Perturb a random subset, sometimes only in the last axis.
+    // Perturb a random subset, each in one random axis only: a fold that
+    // loses any axis' verdict misses some of them.
     for (std::size_t k = 0; k < n; ++k) {
       if (rng.bernoulli(0.4)) {
         Point<D> p = b.get(k);
-        p.coords[static_cast<std::size_t>(D - 1)] += 1e-12;
+        p.coords[rng.next_u64() % static_cast<std::size_t>(D)] += 1e-12;
         b.set(k, p);
       }
     }

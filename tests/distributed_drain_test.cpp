@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -132,6 +134,37 @@ TEST(DistributedDrain, ValidatesOptions) {
   DrainOptions bad_max_wait = dirs.drain_options("w0");
   bad_max_wait.max_wait_seconds = 0.0;
   EXPECT_THROW(DistributedCampaignRunner("drain_test", bad_max_wait), ConfigError);
+
+  // Non-finite or huge horizons: the idle sleep converts the poll to time_t,
+  // which is undefined past its range, so each is a ConfigError up front.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan, 1e300}) {
+    SCOPED_TRACE(::testing::Message() << "value=" << bad);
+    if (!std::isfinite(bad)) {  // a huge finite TTL only means "never steal"
+      DrainOptions ttl = dirs.drain_options("w0");
+      ttl.lease_ttl_seconds = bad;
+      EXPECT_THROW(DistributedCampaignRunner("drain_test", ttl), ConfigError);
+    }
+    DrainOptions poll = dirs.drain_options("w0");
+    poll.poll_seconds = bad;
+    EXPECT_THROW(DistributedCampaignRunner("drain_test", poll), ConfigError);
+    DrainOptions max_wait = dirs.drain_options("w0");
+    max_wait.max_wait_seconds = bad;
+    EXPECT_THROW(DistributedCampaignRunner("drain_test", max_wait), ConfigError);
+  }
+
+  // A poll longer than the stall horizon could only end the drain by
+  // timing out after one full sleep.
+  DrainOptions poll_past_max_wait = dirs.drain_options("w0");
+  poll_past_max_wait.poll_seconds = 2.0;
+  poll_past_max_wait.max_wait_seconds = 1.0;
+  EXPECT_THROW(DistributedCampaignRunner("drain_test", poll_past_max_wait), ConfigError);
+
+  DrainOptions at_limits = dirs.drain_options("w0");
+  at_limits.max_wait_seconds = DrainOptions::kMaxWaitLimit;
+  at_limits.poll_seconds = at_limits.max_wait_seconds;
+  EXPECT_NO_THROW(DistributedCampaignRunner("drain_test", at_limits));
 }
 
 TEST(DistributedDrain, SingleWorkerMatchesSingleProcessByteIdentical) {

@@ -456,19 +456,46 @@ std::uint64_t mtrm_checksum(const MtrmConfig& config, std::uint64_t seed) {
   return fnv1a_bits(flatten_mtrm_result(solve_mtrm<2>(config, rng)));
 }
 
+/// Runs one trace of `config` through a TraceWorkspace and returns its
+/// kinetic engine's counters.
+KineticStats trace_stats(const MtrmConfig& config, std::uint64_t seed) {
+  const Box<2> region(config.side);
+  const auto model = make_mobility_model<2>(config.mobility, region);
+  Rng rng(seed);
+  TraceWorkspace<2> ws;
+  run_mobile_trace<2>(config.node_count, region, config.steps, *model, rng, &ws);
+  return ws.kinetic.stats();
+}
+
 // The golden digests of tests/determinism_test.cpp, re-pinned here through
 // the kinetic trace path at 1 and 8 threads: a kinetic regression shows up
-// in this suite next to the differential tests that localize it.
+// in this suite next to the differential tests that localize it. Those
+// configs (n = 16) are below kDenseCutoff and solve dense, so two more at
+// paper density l = 65536 (n = 256) pin the incremental repair end to end;
+// their traces must really have been served by it.
 TEST(KineticDifferential, GoldenChecksumsHoldThroughKineticPathAtOneAndEightThreads) {
   const ParallelismGuard parallelism_guard;
 
   const MtrmConfig waypoint = experiments::waypoint_experiment(256.0, Preset::kQuick);
   const MtrmConfig drunkard = experiments::drunkard_experiment(256.0, Preset::kQuick);
+  const MtrmConfig paper_waypoint = experiments::waypoint_experiment(65536.0, Preset::kQuick);
+  const MtrmConfig paper_drunkard = experiments::drunkard_experiment(65536.0, Preset::kQuick);
+  ASSERT_GE(paper_waypoint.node_count, KineticEmstEngine<2>::kDenseCutoff);
+  for (const MtrmConfig* config : {&paper_waypoint, &paper_drunkard}) {
+    const KineticStats stats = trace_stats(*config, 77);
+    EXPECT_FALSE(stats.dense_mode);
+    EXPECT_GT(stats.incremental_repairs, config->steps / 2)
+        << "of " << config->steps << " steps";
+  }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     set_max_parallelism(threads);
     EXPECT_EQ(hex_u64(mtrm_checksum(waypoint, 20020623)), hex_u64(0x7f15b5b64209b3a3ull))
         << "threads=" << threads;
     EXPECT_EQ(hex_u64(mtrm_checksum(drunkard, 20020623)), hex_u64(0xca0fd93f2a6598c4ull))
+        << "threads=" << threads;
+    EXPECT_EQ(hex_u64(mtrm_checksum(paper_waypoint, 20020623)), hex_u64(0xee254c701281b00dull))
+        << "threads=" << threads;
+    EXPECT_EQ(hex_u64(mtrm_checksum(paper_drunkard, 20020623)), hex_u64(0x6bc6469927fd9da4ull))
         << "threads=" << threads;
   }
 }
