@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #include "support/error.hpp"
@@ -13,9 +14,11 @@ namespace manet {
 class EnergyModel {
  public:
   /// `alpha` is the path-loss exponent (2 in free space, up to ~4-6 indoors).
-  /// Requires alpha >= 1.
+  /// Requires a finite alpha >= 1.
   explicit EnergyModel(double alpha = 2.0) : alpha_(alpha) {
-    if (!(alpha >= 1.0)) throw ConfigError("EnergyModel: alpha must be >= 1");
+    if (!(alpha >= 1.0) || !std::isfinite(alpha)) {
+      throw ConfigError("EnergyModel: alpha must be finite and >= 1");
+    }
   }
 
   double alpha() const noexcept { return alpha_; }

@@ -130,14 +130,13 @@ void LinkModelTradeoffConfig::validate() const {
         "LinkModelTradeoffConfig: side must be finite with 3*side^2 a finite, normal double");
   }
   if (trials == 0) throw ConfigError("LinkModelTradeoffConfig: trials must be >= 1");
-  if (!(alpha >= 1.0)) throw ConfigError("LinkModelTradeoffConfig: alpha must be >= 1");
+  static_cast<void>(EnergyModel(alpha));  // throws ConfigError unless 1 <= alpha < inf
   if (!(p_full > 0.0 && p_full <= 1.0)) {
     throw ConfigError("LinkModelTradeoffConfig: p_full must lie in (0, 1]");
   }
   if (!(p_tolerant > 0.0 && p_tolerant <= p_full)) {
     throw ConfigError("LinkModelTradeoffConfig: p_tolerant must lie in (0, p_full]");
   }
-  search.validate();
 }
 
 std::vector<LinkModelTradeoffRow> link_model_energy_tradeoff(
@@ -157,7 +156,7 @@ std::vector<LinkModelTradeoffRow> link_model_energy_tradeoff(
     // independent of how many families the sweep includes or their order.
     Rng family_rng = substream(seed, f);
     const StationaryRangeSample sample = sample_link_model_critical_ranges<2>(
-        config.node_count, region, config.trials, family_rng, *families[f], config.search);
+        config.node_count, region, config.trials, family_rng, *families[f]);
 
     LinkModelTradeoffRow row;
     row.model = families[f]->name();

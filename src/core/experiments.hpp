@@ -7,7 +7,6 @@
 
 #include "core/mtrm.hpp"
 #include "graph/link_model.hpp"
-#include "topology/critical_range.hpp"
 
 namespace manet {
 
@@ -114,10 +113,9 @@ struct LinkModelTradeoffConfig {
   double alpha = 2.0;           ///< path-loss exponent of the energy model
   double p_full = 0.99;         ///< "always connected" target probability
   double p_tolerant = 0.90;     ///< relaxed connectivity target
-  LinkRangeSearchOptions search;
 
   /// Throws ConfigError on inconsistent values (empty sweep, probabilities
-  /// outside (0, 1], p_tolerant > p_full, alpha < 1, non-positive side).
+  /// outside (0, 1], p_tolerant > p_full, alpha outside [1, inf), side <= 0).
   void validate() const;
 };
 

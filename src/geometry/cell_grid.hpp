@@ -57,8 +57,8 @@ class CellGrid {
         static_cast<std::size_t>(std::pow(budget, 1.0 / static_cast<double>(D)));
     max_per_axis = std::min(max_per_axis, std::max<std::size_t>(1, per_axis_budget));
 
-    cells_per_axis_ = static_cast<std::size_t>(side_ / cell_size);
-    cells_per_axis_ = std::max<std::size_t>(1, std::min(cells_per_axis_, max_per_axis));
+    const double per_axis = std::min(side_ / cell_size, static_cast<double>(max_per_axis));
+    cells_per_axis_ = std::max<std::size_t>(1, static_cast<std::size_t>(per_axis));
     cell_size_ = side_ / static_cast<double>(cells_per_axis_);
     // The clamping above only ever coarsens the grid, which is what makes the
     // rebuild-to-raise-the-radius pattern of the adaptive EMST engine safe.

@@ -68,22 +68,6 @@ double ShadowingLinkModel::pair_gain(std::size_t u, std::size_t v) const {
 HeterogeneousRangeLinkModel::HeterogeneousRangeLinkModel(RangeAssignment assignment)
     : assignment_(std::move(assignment)), max_range_(assignment_.max_range()) {}
 
-bool HeterogeneousRangeLinkModel::symmetric_link(std::size_t u, std::size_t v,
-                                                 double dist2) const {
-  // Bidirectional closure: both directions exist iff dist <= min(r_u, r_v),
-  // the RangeAssignment symmetric-graph rule (same `<=` in squared space).
-  const double allowed = std::min(assignment_.range(u), assignment_.range(v));
-  return dist2 <= allowed * allowed;
-}
-
-void HeterogeneousRangeLinkModel::directed_link(std::size_t u, std::size_t v, double dist2,
-                                                bool& u_to_v, bool& v_to_u) const {
-  const double r_u = assignment_.range(u);
-  const double r_v = assignment_.range(v);
-  u_to_v = dist2 <= r_u * r_u;
-  v_to_u = dist2 <= r_v * r_v;
-}
-
 void HeterogeneousRangeLinkModel::validate_for(std::size_t node_count) const {
   if (node_count != assignment_.node_count()) {
     throw ConfigError("HeterogeneousRangeLinkModel: deployment size does not match the "
@@ -123,13 +107,6 @@ std::unique_ptr<LinkModel> ShadowingLinkFamily::at_range(double range, std::size
   params.reference_range = range;
   params.fading_seed = fading_seed;
   return std::make_unique<ShadowingLinkModel>(params);
-}
-
-double ShadowingLinkFamily::hi_factor() const noexcept {
-  // Worst case: every pair fades at the deepest truncated attenuation
-  // (gain = 1 / max_gain_factor), so scaling the diagonal by its reciprocal
-  // guarantees even the unluckiest pair spans the region.
-  return base_.max_gain_factor();
 }
 
 HeterogeneousRangeLinkFamily::HeterogeneousRangeLinkFamily(double min_factor,

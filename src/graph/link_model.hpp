@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,25 +28,24 @@ namespace manet {
 /// (u -> v and v -> u decided separately, e.g. under per-node ranges).
 enum class LinkSymmetry { kSymmetric, kDirected };
 
-/// The link-rule seam of the graph layer (ROADMAP item 3; DESIGN.md §17).
+/// The link-rule seam of the graph layer (DESIGN.md §17).
 ///
 /// Every connectivity analysis in the library historically hard-coded the
 /// paper's symmetric unit-disk rule `edge iff dist(u, v) <= r`. A LinkModel
-/// generalizes that decision: given a candidate pair and its squared
-/// Euclidean distance, it decides whether the link exists — symmetrically,
-/// or per direction for models where node u's reach differs from node v's.
+/// generalizes the range to a per-arc reach: the arc u -> v exists iff
+/// dist(u, v) <= arc_reach(u, v), compared in squared space.
 ///
 /// ## Contract (every implementation, enforced by tests/link_model_test.cpp)
 ///
-///  * **Pure and deterministic**: the decision is a function of
-///    (u, v, dist2) and the model's immutable construction state only.
-///    Random attenuation (shadowing) must be derived from `support/rng`
-///    substreams keyed by the *pair identity* — pure in (seed, min(u, v),
-///    max(u, v)) — never from a shared mutable stream, so results are
-///    bit-identical regardless of enumeration order or thread count.
-///  * **Bounded reach**: no link may exist between nodes farther apart than
-///    `max_link_distance()`; the analyses below use it as the cell-grid
-///    enumeration radius, so a violation would silently drop links.
+///  * **Pure and deterministic**: arc_reach is a function of (u, v) and the
+///    model's immutable construction state only. Random attenuation
+///    (shadowing) must be derived from `support/rng` substreams keyed by the
+///    *pair identity* — pure in (seed, min(u, v), max(u, v)) — never from a
+///    shared mutable stream, so results are bit-identical regardless of
+///    enumeration order or thread count.
+///  * **Bounded reach**: no arc_reach exceeds `max_link_distance()`; the
+///    analyses below use it as the cell-grid enumeration radius, so a
+///    violation would silently drop links.
 ///  * **Const thread-safety**: analyses may query one model concurrently
 ///    from parallel trials; implementations hold no mutable state.
 class LinkModel {
@@ -60,22 +62,47 @@ class LinkModel {
   /// as the candidate-pair enumeration radius; 0 means no links at all.
   virtual double max_link_distance() const noexcept = 0;
 
+  /// Reach of the arc u -> v: it exists at squared distance dist2 iff
+  /// dist2 <= reach * reach. Symmetric models return arc_reach(v, u).
+  virtual double arc_reach(std::size_t u, std::size_t v) const = 0;
+
   /// Symmetric link decision for the pair (u, v) at squared distance dist2.
   /// For directed models this is the *bidirectional closure*: true iff both
   /// u -> v and v -> u exist (the RangeAssignment symmetric-graph rule).
-  virtual bool symmetric_link(std::size_t u, std::size_t v, double dist2) const = 0;
+  bool symmetric_link(std::size_t u, std::size_t v, double dist2) const {
+    double reach = arc_reach(u, v);
+    if (symmetry() == LinkSymmetry::kDirected) reach = std::min(reach, arc_reach(v, u));
+    return dist2 <= reach * reach;
+  }
 
-  /// Directed link decision. Defaults to the symmetric rule in both
-  /// directions; directed models override.
-  virtual void directed_link(std::size_t u, std::size_t v, double dist2, bool& u_to_v,
-                             bool& v_to_u) const {
-    u_to_v = v_to_u = symmetric_link(u, v, dist2);
+  /// Directed link decision for both orientations of the pair (u, v).
+  void directed_link(std::size_t u, std::size_t v, double dist2, bool& u_to_v,
+                     bool& v_to_u) const {
+    const double reach_uv = arc_reach(u, v);
+    const double reach_vu = symmetry() == LinkSymmetry::kSymmetric ? reach_uv : arc_reach(v, u);
+    u_to_v = dist2 <= reach_uv * reach_uv;
+    v_to_u = dist2 <= reach_vu * reach_vu;
   }
 
   /// Validates the model against a deployment size (throws ConfigError when
   /// the model carries per-node state for a different n). Default: any n.
   virtual void validate_for(std::size_t node_count) const { static_cast<void>(node_count); }
 };
+
+/// The smallest scale r >= 0 at which an arc of reach `unit_reach` at scale 1
+/// spans squared distance `dist2` under the models' rule
+/// dist2 <= (r * unit_reach)^2: r admits the arc, the next smaller double
+/// does not (for unit_reach = 1, r is covering_radius). Infinity when no
+/// finite r does.
+inline double admitting_scale(double dist2, double unit_reach) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto admits = [&](double r) { return dist2 <= (r * unit_reach) * (r * unit_reach); };
+  if (dist2 == 0.0) return 0.0;
+  double r = std::min(std::sqrt(dist2) / unit_reach, std::numeric_limits<double>::max());
+  while (r < kInf && !admits(r)) r = std::nextafter(r, kInf);
+  while (r > 0.0 && admits(std::nextafter(r, 0.0))) r = std::nextafter(r, 0.0);
+  return r;
+}
 
 /// The paper's point-graph rule: edge iff dist(u, v) <= radius — the
 /// library's only unit-disk graph pipeline. `link_model_edges` /
@@ -92,9 +119,7 @@ class UnitDiskLinkModel final : public LinkModel {
   const char* name() const noexcept override { return "unit-disk"; }
   LinkSymmetry symmetry() const noexcept override { return LinkSymmetry::kSymmetric; }
   double max_link_distance() const noexcept override { return radius_; }
-  bool symmetric_link(std::size_t, std::size_t, double dist2) const override {
-    return dist2 <= radius_ * radius_;
-  }
+  double arc_reach(std::size_t, std::size_t) const override { return radius_; }
 
  private:
   double radius_;
@@ -155,9 +180,8 @@ class ShadowingLinkModel final : public LinkModel {
   const char* name() const noexcept override { return "shadowing"; }
   LinkSymmetry symmetry() const noexcept override { return LinkSymmetry::kSymmetric; }
   double max_link_distance() const noexcept override { return max_link_distance_; }
-  bool symmetric_link(std::size_t u, std::size_t v, double dist2) const override {
-    const double r_eff = params_.reference_range * pair_gain(u, v);
-    return dist2 <= r_eff * r_eff;
+  double arc_reach(std::size_t u, std::size_t v) const override {
+    return params_.reference_range * pair_gain(u, v);
   }
 
  private:
@@ -182,9 +206,7 @@ class HeterogeneousRangeLinkModel final : public LinkModel {
   const char* name() const noexcept override { return "heterogeneous"; }
   LinkSymmetry symmetry() const noexcept override { return LinkSymmetry::kDirected; }
   double max_link_distance() const noexcept override { return max_range_; }
-  bool symmetric_link(std::size_t u, std::size_t v, double dist2) const override;
-  void directed_link(std::size_t u, std::size_t v, double dist2, bool& u_to_v,
-                     bool& v_to_u) const override;
+  double arc_reach(std::size_t u, std::size_t) const override { return assignment_.range(u); }
   /// Throws ConfigError when the deployment size differs from the
   /// assignment's node count.
   void validate_for(std::size_t node_count) const override;
@@ -200,9 +222,9 @@ class HeterogeneousRangeLinkModel final : public LinkModel {
 
 /// A family of link models indexed by a scale parameter r (the common range,
 /// the shadowing median range, the base of heterogeneous per-node ranges).
-/// Connectivity under every family here is monotone in r — links only appear
-/// as r grows — which is what link_model_critical_range
-/// (topology/critical_range.hpp) relies on.
+/// Every family is linear in r: at_range(r, n, seed) gives each arc the reach
+/// r * k, rounded once, where k is its reach in at_range(1, n, seed). Links
+/// only appear as r grows; link_model_critical_range relies on both.
 class LinkModelFamily {
  public:
   LinkModelFamily() = default;
@@ -217,31 +239,19 @@ class LinkModelFamily {
   /// deterministic families ignore it. Requires range > 0.
   virtual std::unique_ptr<LinkModel> at_range(double range, std::size_t node_count,
                                               std::uint64_t fading_seed) const = 0;
-
-  /// True when the family's critical range is exactly the bottleneck edge of
-  /// the Euclidean MST (the unit disk — where the paper's argument applies);
-  /// the search then skips bisection and reuses the exact engine.
-  virtual bool exact_bottleneck() const noexcept { return false; }
-
-  /// Bracket guarantee for the bisection fallback: at scale
-  /// region_diagonal * hi_factor() the graph is strongly connected for every
-  /// deployment and fading seed (the worst-case gain/factor still spans the
-  /// region diagonal).
-  virtual double hi_factor() const noexcept { return 1.0; }
 };
 
-/// Unit-disk family: at_range(r) = UnitDiskLinkModel(r); exact bottleneck.
+/// Unit-disk family: at_range(r) = UnitDiskLinkModel(r).
 class UnitDiskLinkFamily final : public LinkModelFamily {
  public:
   const char* name() const noexcept override { return "unit-disk"; }
   std::unique_ptr<LinkModel> at_range(double range, std::size_t node_count,
                                       std::uint64_t fading_seed) const override;
-  bool exact_bottleneck() const noexcept override { return true; }
 };
 
 /// Shadowing family: at_range(r) sets reference_range = r and
 /// fading_seed = the per-trial seed; sigma/eta/z_clip come from the
-/// constructor. hi_factor compensates the deepest truncated fade.
+/// constructor.
 class ShadowingLinkFamily final : public LinkModelFamily {
  public:
   /// `base.reference_range` / `base.fading_seed` are overridden per call;
@@ -253,7 +263,6 @@ class ShadowingLinkFamily final : public LinkModelFamily {
   const char* name() const noexcept override { return "shadowing"; }
   std::unique_ptr<LinkModel> at_range(double range, std::size_t node_count,
                                       std::uint64_t fading_seed) const override;
-  double hi_factor() const noexcept override;
 
  private:
   ShadowingParams base_;
@@ -275,7 +284,6 @@ class HeterogeneousRangeLinkFamily final : public LinkModelFamily {
   const char* name() const noexcept override { return "heterogeneous"; }
   std::unique_ptr<LinkModel> at_range(double range, std::size_t node_count,
                                       std::uint64_t fading_seed) const override;
-  double hi_factor() const noexcept override { return 1.0 / min_factor_; }
 
  private:
   double min_factor_;
@@ -421,19 +429,11 @@ ComponentSummary analyze_link_components(std::span<const Point<D>> points, const
   if (points.size() >= 2 && radius > 0.0) {
     const CellGrid<D> grid(points, box, radius);
     grid.for_each_pair_within(radius, [&](std::size_t i, std::size_t j, double d2) {
-      if (!directed) {
-        if (model.symmetric_link(i, j, d2)) {
-          dsu.unite(i, j);
-          ++degree[i];
-          ++degree[j];
-        }
-        return;
-      }
       bool ij = false;
       bool ji = false;
       model.directed_link(i, j, d2, ij, ji);
-      if (ij) arcs.push_back({i, j});
-      if (ji) arcs.push_back({j, i});
+      if (directed && ij) arcs.push_back({i, j});
+      if (directed && ji) arcs.push_back({j, i});
       if (ij && ji) {
         dsu.unite(i, j);
         ++degree[i];

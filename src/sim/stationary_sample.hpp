@@ -69,7 +69,7 @@ StationaryRangeSample sample_stationary_critical_ranges(std::size_t n, const Box
 /// Link-model generalization of sample_stationary_critical_ranges: each
 /// trial's critical scale comes from link_model_critical_range under
 /// `family` instead of the unit-disk EMST bottleneck (to which it reduces
-/// bit-for-bit when the family declares exact_bottleneck()).
+/// bit-for-bit under the unit-disk family).
 ///
 /// Two draws from `rng` seed two independent substream roots: one for the
 /// per-trial deployments, one for the per-trial fading seeds — both pure
@@ -78,17 +78,16 @@ StationaryRangeSample sample_stationary_critical_ranges(std::size_t n, const Box
 /// trials see distinct fading realizations, matching the paper's
 /// methodology of redrawing everything random per trial.
 template <int D>
-StationaryRangeSample sample_link_model_critical_ranges(
-    std::size_t n, const Box<D>& box, std::size_t trials, Rng& rng,
-    const LinkModelFamily& family, const LinkRangeSearchOptions& options = {}) {
-  options.validate();
+StationaryRangeSample sample_link_model_critical_ranges(std::size_t n, const Box<D>& box,
+                                                        std::size_t trials, Rng& rng,
+                                                        const LinkModelFamily& family) {
   const std::uint64_t trial_root = rng.next_u64();
   const std::uint64_t fading_root = rng.next_u64();
   std::vector<double> radii = parallel_for_trials(
-      trials, trial_root, [n, &box, &family, &options, fading_root](std::size_t trial, Rng& trial_rng) {
+      trials, trial_root, [n, &box, &family, fading_root](std::size_t trial, Rng& trial_rng) {
         const auto points = uniform_deployment(n, box, trial_rng);
         return link_model_critical_range<D>(points, box, family,
-                                            substream_seed(fading_root, trial), options);
+                                            substream_seed(fading_root, trial));
       });
   return StationaryRangeSample(std::move(radii));
 }

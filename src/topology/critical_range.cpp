@@ -1,6 +1,10 @@
 #include "topology/critical_range.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 
 #include "support/contracts.hpp"
 
@@ -90,6 +94,29 @@ double LargestComponentCurve::range_for_size(std::size_t target_size) const {
 double LargestComponentCurve::critical_range() const {
   if (n_ <= 1) return 0.0;
   return breakpoints_.back().range;
+}
+
+double detail::bottleneck_reach_scale(const ScaledArcs& arcs) {
+  // The reached set grows by its cheapest leaving arc; the largest scale
+  // taken is the smallest at which every node is reached.
+  using Entry = std::pair<double, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> fringe;
+  std::vector<char> reached(arcs.size(), 0);
+  std::size_t count = 0;
+  double scale = 0.0;
+  fringe.push({0.0, 0});
+  while (!fringe.empty()) {
+    const auto [arc_scale, node] = fringe.top();
+    fringe.pop();
+    if (reached[node] != 0) continue;
+    reached[node] = 1;
+    scale = std::max(scale, arc_scale);
+    if (++count == arcs.size()) return scale;
+    for (const auto& [head, head_scale] : arcs[node]) {
+      if (reached[head] == 0) fringe.emplace(head_scale, head);
+    }
+  }
+  return std::numeric_limits<double>::infinity();
 }
 
 }  // namespace manet

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.hpp"
+#include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
 #include "graph/link_model.hpp"
 #include "graph/union_find.hpp"
@@ -117,77 +120,69 @@ double isolation_range(std::span<const Point<D>> points, const Box<D>& box) {
   return engine.max_nearest_neighbor_range(points, box);
 }
 
-/// Options of the bisection fallback in link_model_critical_range. The
-/// search stops when the bracket width falls below
-/// `relative_tolerance * (initial hi)` or after `max_iterations` halvings
-/// (80 halvings of any double bracket reach 1 ulp, so the iteration cap is a
-/// backstop, not the usual exit).
-struct LinkRangeSearchOptions {
-  double relative_tolerance = 1e-6;
-  std::size_t max_iterations = 80;
+namespace detail {
 
-  /// Throws ConfigError on out-of-domain values.
-  void validate() const {
-    if (!(relative_tolerance > 0.0)) {
-      throw ConfigError("LinkRangeSearchOptions: relative_tolerance must be > 0");
-    }
-    if (max_iterations == 0) {
-      throw ConfigError("LinkRangeSearchOptions: max_iterations must be >= 1");
-    }
-  }
-};
+/// Per-node outgoing arcs (head, admitting scale) of link_model_critical_range.
+using ScaledArcs = std::vector<std::vector<std::pair<std::uint32_t, double>>>;
+
+/// The smallest scale at which node 0 reaches every node over `arcs`, or
+/// infinity if none does (a bottleneck path search; needs one node).
+double bottleneck_reach_scale(const ScaledArcs& arcs);
+
+}  // namespace detail
 
 /// Critical scale parameter of a deployment under an arbitrary link-model
 /// family: the minimum r such that `family.at_range(r, n, fading_seed)`
 /// makes the communication graph (strongly) connected.
 ///
-/// The paper's exact argument — rc equals the bottleneck edge of the
-/// Euclidean MST — holds only for the unit disk, where "edge at range r" is
-/// a pure threshold on Euclidean distance. Families that declare
-/// `exact_bottleneck()` take that exact path (bit-identical to
-/// critical_range). Every other family falls back to deterministic
-/// bisection, which is correct because connectivity stays *monotone in r*
-/// even under random attenuation: the fading gains are a pure function of
-/// (fading_seed, pair) — independent of r — so growing r only ever adds
-/// links. The initial bracket is [0, box.diagonal() * family.hi_factor()],
-/// connected by the family's hi_factor guarantee (checked).
+/// Exact for every family (DESIGN.md §17): each arc has one admitting_scale,
+/// and the answer is the larger of two bottleneck path searches from node 0,
+/// over the arcs and over the reversed arcs (for the unit disk, the EMST
+/// bottleneck: bit-identical to critical_range). The searches see the pairs
+/// within a radius R that doubles from the Euclidean critical range up to
+/// the box diagonal. An answer r is final once r * max_link_distance() of
+/// the scale-1 model stays within R: no pair left out is admitted at r.
 ///
-/// Determinism: no randomness is drawn here; everything is keyed by
-/// `fading_seed`, so the result is bit-identical at any thread count and
-/// across repeated calls. Returns 0 for n <= 1 (vacuously connected).
+/// Deterministic in `fading_seed`. Returns 0 for n <= 1 and for coincident
+/// points; throws ConfigError when the critical scale overflows a double.
 template <int D>
 double link_model_critical_range(std::span<const Point<D>> points, const Box<D>& box,
-                                 const LinkModelFamily& family, std::uint64_t fading_seed,
-                                 const LinkRangeSearchOptions& options = {}) {
-  options.validate();
-  if (points.size() <= 1) return 0.0;
-  if (family.exact_bottleneck()) {
-    return critical_range<D>(points, box);
-  }
+                                 const LinkModelFamily& family, std::uint64_t fading_seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = points.size();
+  if (n <= 1) return 0.0;
+  double radius = critical_range<D>(points, box);
+  if (radius == 0.0) return 0.0;
 
-  const auto connected_at = [&](double r) {
-    const auto model = family.at_range(r, points.size(), fading_seed);
-    return analyze_link_components<D>(points, box, *model).strongly_connected();
-  };
-
-  double lo = 0.0;
-  double hi = box.diagonal() * family.hi_factor();
-  MANET_EXPECTS(hi > 0.0);
-  // The hi_factor contract promises connectivity at the initial hi; a model
-  // violating it would silently bisect toward a wrong answer, so check.
-  MANET_EXPECTS(connected_at(hi));
-
-  const double width_goal = options.relative_tolerance * hi;
-  for (std::size_t iter = 0; iter < options.max_iterations && hi - lo > width_goal; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // bracket collapsed to adjacent doubles
-    if (connected_at(mid)) {
-      hi = mid;
-    } else {
-      lo = mid;
+  const auto unit = family.at_range(1.0, n, fading_seed);
+  const bool directed = unit->symmetry() == LinkSymmetry::kDirected;
+  CellGrid<D> grid;
+  detail::ScaledArcs out(n);
+  detail::ScaledArcs in(directed ? n : 0);  // the reversed arcs
+  for (;; radius = std::min(2.0 * radius, box.diagonal())) {
+    grid.rebuild(points, box, radius);
+    // A single-cell grid compares every pair: the candidates are complete.
+    const bool complete = grid.cells_per_axis() == 1;
+    for (auto& arcs : out) arcs.clear();
+    for (auto& arcs : in) arcs.clear();
+    grid.for_each_pair_within(complete ? kInf : radius, [&](std::size_t i, std::size_t j,
+                                                           double d2) {
+      const double forward = admitting_scale(d2, unit->arc_reach(i, j));
+      const double backward = directed ? admitting_scale(d2, unit->arc_reach(j, i)) : forward;
+      out[i].emplace_back(static_cast<std::uint32_t>(j), forward);
+      out[j].emplace_back(static_cast<std::uint32_t>(i), backward);
+      if (directed) {
+        in[j].emplace_back(static_cast<std::uint32_t>(i), forward);
+        in[i].emplace_back(static_cast<std::uint32_t>(j), backward);
+      }
+    });
+    double scale = detail::bottleneck_reach_scale(out);
+    if (directed) scale = std::max(scale, detail::bottleneck_reach_scale(in));
+    if (complete || scale * unit->max_link_distance() <= radius) {
+      if (scale == kInf) throw ConfigError("link_model_critical_range: scale overflows a double");
+      return scale;
     }
   }
-  return hi;
 }
 
 /// EXTENSION: critical transmission radius under the flat-torus metric on

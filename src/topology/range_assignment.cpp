@@ -19,7 +19,9 @@ double RangeAssignment::range(std::size_t node) const {
 }
 
 double RangeAssignment::cost(double alpha) const {
-  if (!(alpha >= 1.0)) throw ConfigError("RangeAssignment::cost: alpha must be >= 1");
+  if (!(alpha >= 1.0) || !std::isfinite(alpha)) {
+    throw ConfigError("RangeAssignment::cost: alpha must be finite and >= 1");
+  }
   double total = 0.0;
   for (double r : ranges_) total += std::pow(r, alpha);
   return total;

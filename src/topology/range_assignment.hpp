@@ -33,8 +33,8 @@ class RangeAssignment {
   /// Requires node < node_count() (programmer contract: ContractViolation).
   double range(std::size_t node) const;
 
-  /// Total energy cost sum_i r_i^alpha. Throws ConfigError unless
-  /// alpha >= 1 (matching EnergyModel's constructor).
+  /// Total energy cost sum_i r_i^alpha. Throws ConfigError unless alpha is
+  /// finite and >= 1 (matching EnergyModel's constructor).
   double cost(double alpha = 2.0) const;
 
   /// The largest assigned range (the worst single node's exposure).

@@ -24,6 +24,9 @@ TEST(EnergyModel, CustomPathLossExponent) {
 
 TEST(EnergyModel, RejectsAlphaBelowOne) {
   EXPECT_THROW(EnergyModel(0.5), ConfigError);
+  // Non-finite exponents: !(inf >= 1) is false, so inf needs its own check.
+  EXPECT_THROW(EnergyModel(std::numeric_limits<double>::infinity()), ConfigError);
+  EXPECT_THROW(EnergyModel(std::numeric_limits<double>::quiet_NaN()), ConfigError);
 }
 
 TEST(EnergyModel, NetworkPowerScalesWithNodes) {

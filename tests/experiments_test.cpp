@@ -121,5 +121,16 @@ TEST(LinkModelTradeoffConfig, RejectsSidesWhoseSquaredDistancesOverflowOrUnderfl
   EXPECT_NO_THROW(config.validate());
 }
 
+TEST(LinkModelTradeoffConfig, RejectsAlphaBelowOneOrNonFinite) {
+  experiments::LinkModelTradeoffConfig config;
+  for (const double alpha : {0.5, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    config.alpha = alpha;
+    EXPECT_THROW(config.validate(), ConfigError) << "alpha " << alpha;
+  }
+  config.alpha = 1.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
 }  // namespace
 }  // namespace manet

@@ -7,18 +7,24 @@
 //  - heterogeneous ranges produce the documented directed semantics, and
 //    their symmetric projection agrees with symmetric_graph_connected —
 //    boundary ties included;
-//  - link_model_critical_range reduces to the exact EMST bottleneck for the
-//    unit disk and bisects correctly otherwise.
+//  - every arc's admitting scale is the smallest the model's own predicate
+//    admits, and link_model_critical_range equals a brute-force oracle for
+//    every family (bit-identical to the EMST bottleneck for the unit disk).
 
 #include "graph/link_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "geometry/point.hpp"
 #include "graph/metrics.hpp"
 #include "graph/scc.hpp"
+#include "sim/stationary_sample.hpp"
 #include "sim/deployment.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -499,73 +506,327 @@ TEST(LinkModelFamily, AtRangeRejectsNonPositiveRange) {
   }
 }
 
-TEST(LinkModelCriticalRange, UnitDiskTakesTheExactPath) {
-  Rng rng(505);
-  const Box<2> box(64.0);
-  const UnitDiskLinkFamily family;
-  EXPECT_TRUE(family.exact_bottleneck());
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto points = uniform_deployment<2>(25, box, rng);
-    // Bit-identical to the EMST bottleneck — no tolerance.
-    EXPECT_EQ(link_model_critical_range<2>(points, box, family, 7),
-              critical_range<2>(points, box));
+// The families the critical-range tests sweep: the three defaults, the two
+// parameter sets whose bisection bracket overflowed (the largest fading gain
+// 10^300, and a 1e-300 node factor), and a zero-sigma shadowing family
+// (the unit disk in disguise).
+std::vector<std::unique_ptr<LinkModelFamily>> critical_range_families() {
+  std::vector<std::unique_ptr<LinkModelFamily>> families;
+  for (const std::string& name : link_model_family_names()) {
+    families.push_back(make_link_model_family(name));
+  }
+  ShadowingParams extreme;
+  extreme.sigma_db = 100.0;
+  extreme.z_clip = 30.0;
+  extreme.path_loss_exponent = 1.0;
+  families.push_back(std::make_unique<ShadowingLinkFamily>(extreme));
+  families.push_back(std::make_unique<HeterogeneousRangeLinkFamily>(1e-300, 1.0));
+  ShadowingParams flat;
+  flat.sigma_db = 0.0;
+  families.push_back(std::make_unique<ShadowingLinkFamily>(flat));
+  return families;
+}
+
+bool admits_arc(const LinkModelFamily& family, std::size_t n, std::uint64_t seed, std::size_t u,
+                std::size_t v, double d2, double scale) {
+  if (scale == 0.0) return d2 == 0.0;
+  bool u_to_v = false;
+  bool v_to_u = false;
+  family.at_range(scale, n, seed)->directed_link(u, v, d2, u_to_v, v_to_u);
+  return u_to_v;
+}
+
+// Brute-force oracle of link_model_critical_range: each arc's admitting scale
+// is found by bisecting the non-negative doubles (ordered like their bit
+// patterns) on the model's own predicate, at_range(r)->directed_link; then
+// the arcs are added in ascending order of scale until the digraph is
+// strongly connected.
+template <int D>
+double brute_force_critical_scale(std::span<const Point<D>> points,
+                                  const LinkModelFamily& family, std::uint64_t seed) {
+  const std::size_t n = points.size();
+  struct Arc {
+    double scale;
+    DirectedEdge edge;
+  };
+  std::vector<Arc> arcs;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u == v) continue;
+      const double d2 = squared_distance(points[u], points[v]);
+      const double top = std::numeric_limits<double>::max();
+      double scale = std::numeric_limits<double>::infinity();
+      if (admits_arc(family, n, seed, u, v, d2, top)) {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = std::bit_cast<std::uint64_t>(top);
+        while (lo < hi) {
+          const std::uint64_t mid = lo + (hi - lo) / 2;
+          if (admits_arc(family, n, seed, u, v, d2, std::bit_cast<double>(mid))) {
+            hi = mid;
+          } else {
+            lo = mid + 1;
+          }
+        }
+        scale = std::bit_cast<double>(lo);
+      }
+      arcs.push_back({scale, {u, v}});
+    }
+  }
+  std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) { return a.scale < b.scale; });
+  std::vector<DirectedEdge> taken;
+  for (const Arc& arc : arcs) {
+    taken.push_back(arc.edge);
+    if (strongly_connected_components(n, taken).component_count == 1) return arc.scale;
+  }
+  return n <= 1 ? 0.0 : std::numeric_limits<double>::infinity();
+}
+
+template <int D>
+bool strongly_connected_at(std::span<const Point<D>> points, const Box<D>& box,
+                           const LinkModelFamily& family, std::uint64_t seed, double scale) {
+  const auto model = family.at_range(scale, points.size(), seed);
+  return analyze_link_components<D>(points, box, *model).strongly_connected();
+}
+
+template <int D>
+void expect_critical_range_matches_oracle(std::uint64_t rng_seed, double side) {
+  Rng rng(rng_seed);
+  const Box<D> box(side);
+  const auto families = critical_range_families();
+  for (std::size_t n : {2ul, 3ul, 6ul, 10ul}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto points = uniform_deployment<D>(n, box, rng);
+      const std::uint64_t seed = rng.next_u64();
+      for (const auto& family : families) {
+        const double r = link_model_critical_range<D>(points, box, *family, seed);
+        SCOPED_TRACE(testing::Message() << family->name() << " D=" << D << " n=" << n);
+        EXPECT_EQ(r, brute_force_critical_scale<D>(points, *family, seed));
+        ASSERT_TRUE(std::isfinite(r));
+        ASSERT_GT(r, 0.0);
+        EXPECT_TRUE(strongly_connected_at<D>(points, box, *family, seed, r));
+        EXPECT_FALSE(strongly_connected_at<D>(points, box, *family, seed, std::nextafter(r, 0.0)));
+      }
+    }
   }
 }
 
-TEST(LinkModelCriticalRange, BisectionConvergesToTheExactAnswerAtSigmaZero) {
-  // sigma = 0 shadowing is the unit disk, but the family does not declare
-  // exact_bottleneck, so this exercises the bisection fallback against a
-  // known answer.
+TEST(LinkModelCriticalRange, MatchesBruteForceOracle1D) {
+  expect_critical_range_matches_oracle<1>(601, 64.0);
+}
+TEST(LinkModelCriticalRange, MatchesBruteForceOracle2D) {
+  expect_critical_range_matches_oracle<2>(602, 4096.0);
+}
+TEST(LinkModelCriticalRange, MatchesBruteForceOracle3D) {
+  expect_critical_range_matches_oracle<3>(603, 1.0);
+}
+
+TEST(LinkModelCriticalRange, LargeBracketsReturnTheExactFiniteValue) {
+  // The parameter sets whose bisection bracket (diagonal * 10^300 and
+  // diagonal / 1e-300) swamped its bracket-relative tolerance: the bisection
+  // returned ~5.5e300 on a side-4096 region whatever the deployment.
+  Rng rng(604);
+  const Box<2> box(4096.0);
+  ShadowingParams extreme;
+  extreme.sigma_db = 100.0;
+  extreme.z_clip = 30.0;
+  extreme.path_loss_exponent = 1.0;
+  const ShadowingLinkFamily shadowing(extreme);
+  const HeterogeneousRangeLinkFamily heterogeneous(1e-300, 1.0);
+  for (const LinkModelFamily* family :
+       std::initializer_list<const LinkModelFamily*>{&shadowing, &heterogeneous}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto points = uniform_deployment<2>(12, box, rng);
+      const double r = link_model_critical_range<2>(points, box, *family, 17);
+      EXPECT_EQ(r, brute_force_critical_scale<2>(points, *family, 17)) << family->name();
+      EXPECT_LT(r, 1e200) << family->name();
+    }
+  }
+}
+
+template <int D>
+void expect_unit_disk_is_the_euclidean_bottleneck(std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  const Box<D> box(64.0);
+  const UnitDiskLinkFamily family;
+  for (std::size_t n : {2ul, 25ul, 200ul}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto points = uniform_deployment<D>(n, box, rng);
+      // Bit-identical to the EMST bottleneck — no tolerance.
+      EXPECT_EQ(link_model_critical_range<D>(points, box, family, 7),
+                critical_range<D>(points, box));
+    }
+  }
+  // Duplicates and lattice ties.
+  std::vector<Point<D>> lattice;
+  for (int i = 0; i < 12; ++i) {
+    Point<D> p{};
+    p.coords[0] = 3.0 * (i % 4);
+    p.coords[D - 1] += 5.0 * (i / 4);
+    lattice.push_back(p);
+    if (i % 5 == 0) lattice.push_back(p);
+  }
+  EXPECT_EQ(link_model_critical_range<D>(lattice, box, family, 7),
+            critical_range<D>(lattice, box));
+}
+
+TEST(LinkModelCriticalRange, UnitDiskTakesTheExactPath) {
+  expect_unit_disk_is_the_euclidean_bottleneck<1>(505);
+  expect_unit_disk_is_the_euclidean_bottleneck<2>(506);
+  expect_unit_disk_is_the_euclidean_bottleneck<3>(507);
+}
+
+TEST(LinkModelCriticalRange, ShadowingAtSigmaZeroIsTheUnitDiskBitwise) {
+  // sigma = 0 shadowing is the unit disk through another family: the exact
+  // solver must land on the same bits.
   Rng rng(506);
   const Box<2> box(64.0);
   ShadowingParams base;
   base.sigma_db = 0.0;
   const ShadowingLinkFamily family(base);
   for (int trial = 0; trial < 5; ++trial) {
-    const auto points = uniform_deployment<2>(20, box, rng);
-    const double exact = critical_range<2>(points, box);
-    const double bisected = link_model_critical_range<2>(points, box, family, 7);
-    EXPECT_GE(bisected, exact);  // upper bracket: always connected at result
-    EXPECT_NEAR(bisected, exact, 1e-6 * box.diagonal() + 1e-9);
+    const auto points = uniform_deployment<2>(150, box, rng);
+    EXPECT_EQ(link_model_critical_range<2>(points, box, family, 7),
+              critical_range<2>(points, box));
+  }
+}
+
+// The bisection link_model_critical_range ran before it became exact: the
+// bracket [0, diagonal * bracket_factor] (the largest fading gain for
+// shadowing, 1 / min_factor for heterogeneous ranges) halved until narrower
+// than 1e-6 of its initial width; the answer was its upper end.
+template <int D>
+double former_bisection(std::span<const Point<D>> points, const Box<D>& box,
+                        const LinkModelFamily& family, std::uint64_t seed, double bracket_factor) {
+  double lo = 0.0;
+  double hi = box.diagonal() * bracket_factor;
+  const double width_goal = 1e-6 * hi;
+  for (int iter = 0; iter < 80 && hi - lo > width_goal; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;
+    (strongly_connected_at<D>(points, box, family, seed, mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+TEST(LinkModelCriticalRange, FormerBisectionBracketContainsTheExactValue) {
+  Rng rng(608);
+  const Box<2> box(4096.0);
+  const ShadowingLinkFamily shadowing{ShadowingParams{}};
+  const HeterogeneousRangeLinkFamily heterogeneous(0.5, 1.0);
+  const std::pair<const LinkModelFamily*, double> cases[] = {
+      {&shadowing, ShadowingParams{}.max_gain_factor()}, {&heterogeneous, 1.0 / 0.5}};
+  for (const auto& [family, bracket_factor] : cases) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto points = uniform_deployment<2>(64, box, rng);
+      const double exact = link_model_critical_range<2>(points, box, *family, 31);
+      const double former = former_bisection<2>(points, box, *family, 31, bracket_factor);
+      EXPECT_LE(exact, former) << family->name();
+      EXPECT_LE(former, exact + 1e-6 * box.diagonal() * bracket_factor) << family->name();
+    }
   }
 }
 
 TEST(LinkModelCriticalRange, ResultIsConnectedAndDeterministic) {
   Rng rng(507);
   const Box<2> box(100.0);
-  const auto points = uniform_deployment<2>(30, box, rng);
-  LinkModelMenu menu;
-  for (const std::string& name : link_model_family_names()) {
-    const auto family = make_link_model_family(name, menu);
+  const auto points = uniform_deployment<2>(300, box, rng);
+  for (const auto& family : critical_range_families()) {
     const double rc = link_model_critical_range<2>(points, box, *family, 99);
-    // The returned scale connects the deployment; repeated calls agree
-    // bitwise (the fading seed pins all randomness).
-    const auto model = family->at_range(rc, points.size(), 99);
-    EXPECT_TRUE(analyze_link_components<2>(points, box, *model).strongly_connected()) << name;
-    EXPECT_EQ(rc, link_model_critical_range<2>(points, box, *family, 99)) << name;
-    EXPECT_GT(rc, 0.0) << name;
+    // The returned scale connects the deployment, the next smaller double
+    // does not, and repeated calls agree bitwise (the fading seed pins all
+    // randomness).
+    EXPECT_TRUE(strongly_connected_at<2>(points, box, *family, 99, rc)) << family->name();
+    EXPECT_FALSE(strongly_connected_at<2>(points, box, *family, 99, std::nextafter(rc, 0.0)))
+        << family->name();
+    EXPECT_EQ(rc, link_model_critical_range<2>(points, box, *family, 99)) << family->name();
+    EXPECT_GT(rc, 0.0) << family->name();
   }
 }
 
 TEST(LinkModelCriticalRange, TrivialDeployments) {
   const Box<2> box(10.0);
-  const UnitDiskLinkFamily family;
   const std::vector<Point2> none;
-  EXPECT_DOUBLE_EQ(link_model_critical_range<2>(none, box, family, 1), 0.0);
   const std::vector<Point2> one = {{{5.0, 5.0}}};
-  EXPECT_DOUBLE_EQ(link_model_critical_range<2>(one, box, family, 1), 0.0);
+  const std::vector<Point2> coincident(4, Point2{{{3.0, 3.0}}});
+  for (const auto& family : critical_range_families()) {
+    EXPECT_EQ(link_model_critical_range<2>(none, box, *family, 1), 0.0);
+    EXPECT_EQ(link_model_critical_range<2>(one, box, *family, 1), 0.0);
+    EXPECT_EQ(link_model_critical_range<2>(coincident, box, *family, 1), 0.0);
+  }
 }
 
-TEST(LinkModelCriticalRange, OptionsValidation) {
+TEST(LinkModelCriticalRange, TinyCriticalRangeInAWideRegion) {
+  // The search radius starts at the Euclidean critical range, 1e-150 here:
+  // the cell grid must clamp side / radius (1e151 cells per axis) before
+  // converting it to an integer.
   const Box<2> box(10.0);
-  const std::vector<Point2> pair = {{{1.0, 1.0}}, {{2.0, 2.0}}};
-  const UnitDiskLinkFamily family;
-  LinkRangeSearchOptions bad;
-  bad.relative_tolerance = 0.0;
-  EXPECT_THROW(link_model_critical_range<2>(pair, box, family, 1, bad), ConfigError);
-  bad = {};
-  bad.max_iterations = 0;
-  EXPECT_THROW(link_model_critical_range<2>(pair, box, family, 1, bad), ConfigError);
+  const std::vector<Point2> pair = {{{1.0, 1.0}}, {{1.0 + 1e-15, 1.0}}};
+  const std::vector<Point2> tiny = {{{0.0, 0.0}}, {{1e-150, 0.0}}, {{0.0, 1e-150}}};
+  for (const auto& family : critical_range_families()) {
+    for (const auto* points : {&pair, &tiny}) {
+      EXPECT_EQ(link_model_critical_range<2>(*points, box, *family, 3),
+                brute_force_critical_scale<2>(*points, *family, 3))
+          << family->name();
+    }
+  }
+}
+
+TEST(LinkModelCriticalRange, OverflowingCriticalScaleThrows) {
+  // Every node factor is the subnormal 1e-320: each arc needs a scale near
+  // d / 1e-320, beyond the largest double.
+  const Box<2> box(100.0);
+  const std::vector<Point2> pair = {{{1.0, 1.0}}, {{50.0, 50.0}}};
+  const HeterogeneousRangeLinkFamily family(1e-320, 1e-320);
+  EXPECT_THROW(link_model_critical_range<2>(pair, box, family, 1), ConfigError);
+  Rng rng(609);
+  EXPECT_THROW(sample_link_model_critical_ranges<2>(16, box, 3, rng, family), ConfigError);
+}
+
+template <int D>
+void expect_admitting_scales_are_tight(std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  constexpr std::size_t kNodes = 40;
+  for (double side : {1e-3, 1.0, 4096.0, 1e6}) {
+    const Box<D> box(side);
+    const auto points = uniform_deployment<D>(kNodes, box, rng);
+    for (const auto& family : critical_range_families()) {
+      const std::uint64_t seed = rng.next_u64();
+      const auto unit = family->at_range(1.0, kNodes, seed);
+      for (int draw = 0; draw < 40; ++draw) {
+        const auto u = static_cast<std::size_t>(rng.uniform_index(kNodes));
+        const auto v = (u + 1 + static_cast<std::size_t>(rng.uniform_index(kNodes - 1))) % kNodes;
+        const double d2 = squared_distance(points[u], points[v]);
+        const double t = admitting_scale(d2, unit->arc_reach(u, v));
+        SCOPED_TRACE(testing::Message() << family->name() << " D=" << D << " side=" << side);
+        ASSERT_TRUE(std::isfinite(t));
+        ASSERT_GT(t, 0.0);
+        EXPECT_TRUE(admits_arc(*family, kNodes, seed, u, v, d2, t));
+        EXPECT_FALSE(admits_arc(*family, kNodes, seed, u, v, d2, std::nextafter(t, 0.0)));
+      }
+    }
+  }
+}
+
+TEST(LinkModelAdmittingScale, IsTheSmallestScaleTheModelAdmits1D) {
+  expect_admitting_scales_are_tight<1>(701);
+}
+TEST(LinkModelAdmittingScale, IsTheSmallestScaleTheModelAdmits2D) {
+  expect_admitting_scales_are_tight<2>(702);
+}
+TEST(LinkModelAdmittingScale, IsTheSmallestScaleTheModelAdmits3D) {
+  expect_admitting_scales_are_tight<3>(703);
+}
+
+TEST(LinkModelAdmittingScale, UnitReachIsTheCoveringRadius) {
+  Rng rng(704);
+  EXPECT_EQ(admitting_scale(0.0, 1.0), 0.0);
+  for (int draw = 0; draw < 20000; ++draw) {
+    const double d2 = std::ldexp(rng.uniform() + 0.5, static_cast<int>(rng.uniform_index(200)) - 100);
+    EXPECT_EQ(admitting_scale(d2, 1.0), covering_radius(d2)) << d2;
+  }
+  // No finite scale admits an arc of zero reach or one beyond the doubles.
+  EXPECT_EQ(admitting_scale(1.0, 0.0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(admitting_scale(1e300, 1e-320), std::numeric_limits<double>::infinity());
 }
 
 TEST(HeterogeneousRangeLinkFamily, PerNodeFactorsAreSeedDeterministic) {
@@ -582,7 +843,6 @@ TEST(HeterogeneousRangeLinkFamily, PerNodeFactorsAreSeedDeterministic) {
     EXPECT_GE(ha->assignment().range(i), 10.0 * 0.5);
     EXPECT_LE(ha->assignment().range(i), 10.0 * 1.0);
   }
-  EXPECT_DOUBLE_EQ(family.hi_factor(), 2.0);
 }
 
 TEST(HeterogeneousRangeLinkFamily, RejectsNonFiniteFactors) {

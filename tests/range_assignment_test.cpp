@@ -38,6 +38,8 @@ TEST(RangeAssignment, RejectsNegativeRangesAndBadAlpha) {
   EXPECT_THROW(RangeAssignment({std::numeric_limits<double>::quiet_NaN()}), ConfigError);
   const RangeAssignment ok({1.0});
   EXPECT_THROW(ok.cost(0.5), ConfigError);
+  EXPECT_THROW(ok.cost(std::numeric_limits<double>::infinity()), ConfigError);
+  EXPECT_THROW(ok.cost(std::numeric_limits<double>::quiet_NaN()), ConfigError);
   // Out-of-bounds node index stays a programmer contract, not user config.
   EXPECT_THROW(ok.range(1), ContractViolation);
 }
