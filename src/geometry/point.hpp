@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 
@@ -78,18 +81,39 @@ double norm(const Point<D>& p) {
   return std::sqrt(squared_norm(p));
 }
 
-/// The smallest double r with r*r >= d2: converts a squared distance into a
-/// transmitting range that provably includes the pair under the library's
-/// `dist2 <= r*r` edge test. Plain sqrt can round down by one ulp, making
-/// "connected at exactly the critical range" false; every range derived from
-/// a distance (MST edge weights, critical radii) goes through this.
-inline double covering_radius(double squared) {
-  double r = std::sqrt(squared);
-  while (r * r < squared) {
-    r = std::nextafter(r, std::numeric_limits<double>::infinity());
+/// The least double r >= 0 passing the edge test squared <= (r * reach)^2,
+/// or infinity if no finite r does; requires reach >= 0. The test is monotone
+/// in r, and non-negative doubles order like their bits: gallop from the
+/// estimate sqrt(squared) / reach in doubling steps, then bisect. Two tests
+/// when the estimate is within an ulp, at most ~130 (subnormal squares).
+inline double admitting_scale(double squared, double reach) {
+  const auto admits = [&](std::uint64_t bits) {
+    const double range = std::bit_cast<double>(bits) * reach;
+    return squared <= range * range;
+  };
+  if (squared == 0.0) return 0.0;
+  std::uint64_t lo = 0;  // rejects; hi admits unless no finite r does
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
+  const std::uint64_t probe = std::min(std::bit_cast<std::uint64_t>(std::sqrt(squared) / reach),
+                                       hi - 1);
+  std::uint64_t step = 1;
+  if (admits(probe)) {
+    for (hi = probe; step < hi - lo && admits(hi - step); step *= 2) hi -= step;
+    if (step < hi - lo) lo = hi - step;
+  } else {
+    for (lo = probe; step < hi - lo && !admits(lo + step); step *= 2) lo += step;
+    if (step < hi - lo) hi = lo + step;
   }
-  return r;
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (admits(mid) ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(hi);
 }
+
+/// The smallest double r with r*r >= squared (plain sqrt can be an ulp short):
+/// every range derived from a distance (MST weights, critical radii) uses it.
+inline double covering_radius(double squared) { return admitting_scale(squared, 1.0); }
 
 template <int D>
 std::ostream& operator<<(std::ostream& out, const Point<D>& p) {

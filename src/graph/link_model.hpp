@@ -1,10 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -88,21 +86,6 @@ class LinkModel {
   /// the model carries per-node state for a different n). Default: any n.
   virtual void validate_for(std::size_t node_count) const { static_cast<void>(node_count); }
 };
-
-/// The smallest scale r >= 0 at which an arc of reach `unit_reach` at scale 1
-/// spans squared distance `dist2` under the models' rule
-/// dist2 <= (r * unit_reach)^2: r admits the arc, the next smaller double
-/// does not (for unit_reach = 1, r is covering_radius). Infinity when no
-/// finite r does.
-inline double admitting_scale(double dist2, double unit_reach) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto admits = [&](double r) { return dist2 <= (r * unit_reach) * (r * unit_reach); };
-  if (dist2 == 0.0) return 0.0;
-  double r = std::min(std::sqrt(dist2) / unit_reach, std::numeric_limits<double>::max());
-  while (r < kInf && !admits(r)) r = std::nextafter(r, kInf);
-  while (r > 0.0 && admits(std::nextafter(r, 0.0))) r = std::nextafter(r, 0.0);
-  return r;
-}
 
 /// The paper's point-graph rule: edge iff dist(u, v) <= radius — the
 /// library's only unit-disk graph pipeline. `link_model_edges` /

@@ -31,8 +31,8 @@ namespace manet {
 template <int D>
 double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
   if constexpr (D == 1) {
-    // 1-D specialization: the graph is connected iff no gap between
-    // consecutive sorted positions exceeds r, so rc is the largest gap.
+    // 1-D specialization: the graph is connected iff r covers every gap
+    // between consecutive sorted positions, so rc covers the largest gap.
     if (points.size() <= 1) return 0.0;
     std::vector<double> xs;
     xs.reserve(points.size());
@@ -40,7 +40,7 @@ double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
     std::sort(xs.begin(), xs.end());
     double max_gap = 0.0;
     for (std::size_t i = 1; i < xs.size(); ++i) max_gap = std::max(max_gap, xs[i] - xs[i - 1]);
-    return max_gap;
+    return covering_radius(max_gap * max_gap);
   } else {
     EmstEngine<D> engine;
     return tree_bottleneck(engine.euclidean(points, box));

@@ -667,6 +667,17 @@ void expect_unit_disk_is_the_euclidean_bottleneck(std::uint64_t rng_seed) {
   }
   EXPECT_EQ(link_model_critical_range<D>(lattice, box, family, 7),
             critical_range<D>(lattice, box));
+  // Points 1e-160 apart: squared distances are subnormal, so a wide run of
+  // ranges below sqrt(d2) already passes d2 <= r*r.
+  std::vector<Point<D>> close(5);
+  double widest_gap2 = 0.0;
+  for (std::size_t i = 0; i < close.size(); ++i) {
+    close[i].coords[D - 1] = 1e-160 * static_cast<double>(i);
+    if (i > 0) widest_gap2 = std::max(widest_gap2, squared_distance(close[i - 1], close[i]));
+  }
+  const double rc = critical_range<D>(close, box);
+  EXPECT_EQ(link_model_critical_range<D>(close, box, family, 7), rc);
+  EXPECT_LT(rc, std::sqrt(widest_gap2));
 }
 
 TEST(LinkModelCriticalRange, UnitDiskTakesTheExactPath) {
@@ -758,12 +769,14 @@ TEST(LinkModelCriticalRange, TrivialDeployments) {
 TEST(LinkModelCriticalRange, TinyCriticalRangeInAWideRegion) {
   // The search radius starts at the Euclidean critical range, 1e-150 here:
   // the cell grid must clamp side / radius (1e151 cells per axis) before
-  // converting it to an integer.
+  // converting it to an integer. At 1e-160 the squared distances are
+  // subnormal: each arc's admitting scale lies ~1e11 doubles below sqrt(d2) / k.
   const Box<2> box(10.0);
   const std::vector<Point2> pair = {{{1.0, 1.0}}, {{1.0 + 1e-15, 1.0}}};
   const std::vector<Point2> tiny = {{{0.0, 0.0}}, {{1e-150, 0.0}}, {{0.0, 1e-150}}};
+  const std::vector<Point2> subnormal = {{{0.0, 0.0}}, {{1e-160, 0.0}}, {{0.0, 1e-160}}};
   for (const auto& family : critical_range_families()) {
-    for (const auto* points : {&pair, &tiny}) {
+    for (const auto* points : {&pair, &tiny, &subnormal}) {
       EXPECT_EQ(link_model_critical_range<2>(*points, box, *family, 3),
                 brute_force_critical_scale<2>(*points, *family, 3))
           << family->name();
@@ -817,16 +830,35 @@ TEST(LinkModelAdmittingScale, IsTheSmallestScaleTheModelAdmits3D) {
   expect_admitting_scales_are_tight<3>(703);
 }
 
-TEST(LinkModelAdmittingScale, UnitReachIsTheCoveringRadius) {
+TEST(LinkModelAdmittingScale, IsTightOverTheWholeExponentRange) {
+  // Every binade of d2, subnormal squares (where fl(r*r) is coarse and the
+  // answer lies up to ~30% below the estimate sqrt(d2) / k) and overflowing
+  // ones included: the result admits, the next smaller double does not.
   Rng rng(704);
+  const auto admits = [](double d2, double reach, double r) {
+    return d2 <= (r * reach) * (r * reach);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(admitting_scale(0.0, 1.0), 0.0);
-  for (int draw = 0; draw < 20000; ++draw) {
-    const double d2 = std::ldexp(rng.uniform() + 0.5, static_cast<int>(rng.uniform_index(200)) - 100);
-    EXPECT_EQ(admitting_scale(d2, 1.0), covering_radius(d2)) << d2;
+  const double overflowing = covering_radius(kInf);  // r*r overflows to infinity
+  EXPECT_TRUE(admits(kInf, 1.0, overflowing));
+  EXPECT_FALSE(admits(kInf, 1.0, std::nextafter(overflowing, 0.0)));
+  for (int exponent = -1073; exponent <= 1024; ++exponent) {
+    for (const double reach : {1.0, rng.uniform(1e-3, 1e3), 1e-300, 1e-320}) {
+      const double d2 = std::ldexp(rng.uniform(0.5, 1.0), exponent);
+      const double t = admitting_scale(d2, reach);
+      SCOPED_TRACE(testing::Message() << "d2=" << d2 << " reach=" << reach);
+      if (t == kInf) {
+        EXPECT_FALSE(admits(d2, reach, std::numeric_limits<double>::max()));
+        continue;
+      }
+      EXPECT_TRUE(admits(d2, reach, t));
+      EXPECT_FALSE(admits(d2, reach, std::nextafter(t, 0.0)));
+    }
   }
   // No finite scale admits an arc of zero reach or one beyond the doubles.
-  EXPECT_EQ(admitting_scale(1.0, 0.0), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(admitting_scale(1e300, 1e-320), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(admitting_scale(1.0, 0.0), kInf);
+  EXPECT_EQ(admitting_scale(1e300, 1e-320), kInf);
 }
 
 TEST(HeterogeneousRangeLinkFamily, PerNodeFactorsAreSeedDeterministic) {
