@@ -18,13 +18,31 @@
 // trade-off close to the unit disk. All rows are bit-identical at any
 // --threads setting (the determinism contract of DESIGN.md §3 and §17).
 
+#include <charconv>
 #include <iostream>
+#include <string>
 
 #include "core/experiments.hpp"
 #include "graph/link_model.hpp"
 #include "support/cli.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
+
+namespace {
+
+/// A range column cell: two decimals, or three significant digits in
+/// scientific form (1.23e-04) when two decimals would print a nonzero range
+/// as 0.00.
+std::string range_cell(double range) {
+  std::string fixed = manet::TextTable::num(range, 2);
+  if (range == 0.0 || fixed != "0.00") return fixed;
+  char buffer[32];  // "-d.dde-ddd" at most
+  const auto result =
+      std::to_chars(buffer, buffer + sizeof(buffer), range, std::chars_format::scientific, 2);
+  return std::string(buffer, result.ptr);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace manet;
@@ -92,9 +110,8 @@ int main(int argc, char** argv) {
 
     TextTable table({"model", "r_full", "r_tolerant", "mean rc", "range cut", "energy saved"});
     for (const auto& row : rows) {
-      table.add_row({row.model, TextTable::num(row.r_full, 2),
-                     TextTable::num(row.r_tolerant, 2),
-                     TextTable::num(row.mean_critical_range, 2),
+      table.add_row({row.model, range_cell(row.r_full), range_cell(row.r_tolerant),
+                     range_cell(row.mean_critical_range),
                      TextTable::num(row.range_reduction, 4),
                      TextTable::num(row.energy_savings, 4)});
     }

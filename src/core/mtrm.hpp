@@ -90,9 +90,7 @@ MtrmIterationOutcome run_mtrm_iteration(const MtrmConfig& config, Rng& iteration
   const auto model = make_mobility_model<D>(config.mobility, region);
   // Per-iteration workspace: the step loop reuses its grid/edge/curve
   // buffers across all `steps` EMST solves, and because every iteration
-  // owns its workspace nothing is shared across worker threads. The trace
-  // runs the kinetic engine, whose curves are bit-identical to per-step
-  // batch solves, so the golden MTRM checksums pin both.
+  // owns its workspace nothing is shared across worker threads.
   TraceWorkspace<D> workspace;
   const MobileConnectivityTrace trace = run_mobile_trace<D>(
       config.node_count, region, config.steps, *model, iteration_rng, &workspace);

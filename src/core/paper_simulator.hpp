@@ -76,8 +76,7 @@ PaperSimulatorOutput run_paper_simulator(const PaperSimulatorInput& input, Rng& 
       input.iterations, trial_root, [&input, &region, n_as_double](std::size_t, Rng& iteration_rng) {
         const auto model = make_mobility_model<D>(input.mobility, region);
         // Per-iteration workspace: buffer reuse across the step loop without
-        // sharing anything between worker threads. The trace runs the
-        // kinetic engine, bit-identical to per-step batch solves.
+        // sharing anything between worker threads.
         TraceWorkspace<D> workspace;
         const MobileConnectivityTrace trace = run_mobile_trace<D>(
             input.n, region, input.steps, *model, iteration_rng, &workspace);

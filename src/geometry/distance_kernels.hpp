@@ -160,30 +160,6 @@ inline void batch_squared_distance(const AxisPointers<D>& axes, std::size_t coun
   with_best_isa([&] { batch_squared_distance_portable<D>(axes, count, q, out); });
 }
 
-/// out[k] = 1 when the k-th tuples of `a` and `b` differ in any axis
-/// (IEEE `!=` per coordinate, exactly `!(Point == Point)`), else 0. Used by
-/// the kinetic engine's moved-node detection. `out` is `__restrict`: a byte
-/// store may otherwise alias the coordinates and keeps the loop scalar.
-template <int D>
-void batch_tuple_not_equal_portable(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                    std::size_t count, std::uint8_t* __restrict out) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    bool neq = false;
-    for (int i = 0; i < D; ++i) {
-      neq |= a[static_cast<std::size_t>(i)][k] != b[static_cast<std::size_t>(i)][k];
-    }
-    out[k] = static_cast<std::uint8_t>(neq);
-  }
-}
-
-/// Moved-node detection over two SoA snapshots; see the portable form for
-/// the exact semantics.
-template <int D>
-inline void batch_tuple_not_equal(const AxisPointers<D>& a, const AxisPointers<D>& b,
-                                  std::size_t count, std::uint8_t* out) noexcept {
-  with_best_isa([&] { batch_tuple_not_equal_portable<D>(a, b, count, out); });
-}
-
 /// out[k] = distance between the k-th tuples of `a` and `b`:
 /// sqrt(sum_i (a_i - b_i)^2) in the fixed per-axis order. sqrt is an IEEE
 /// correctly-rounded operation, so the vectorized form (vsqrtpd) is

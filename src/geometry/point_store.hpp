@@ -9,7 +9,7 @@
 // kernels in geometry/distance_kernels.hpp can stream it directly.
 //
 // Growth discipline matches the rest of the library's zero-steady-state-
-// allocation contract (DESIGN.md §14): capacity only ever grows, so once a
+// allocation contract (DESIGN.md §10): capacity only ever grows, so once a
 // store has seen its working size, assign()/resize() never touch the heap
 // again (alloc_discipline_test pins this).
 //
@@ -20,7 +20,6 @@
 #include <array>
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "geometry/distance_kernels.hpp"
@@ -74,17 +73,6 @@ class PointStore {
     }
   }
 
-  /// Same permuted gather, but from another store (SoA → SoA): slot s takes
-  /// src's tuple ids[s]. Used for per-step CSR coordinate snapshots.
-  void assign_gather(const PointStore& src, std::span<const std::uint32_t> ids) {
-    resize(ids.size());
-    for (int i = 0; i < D; ++i) {
-      double* axis = axes_[static_cast<std::size_t>(i)].data();
-      const double* from = src.axis(i);
-      for (std::size_t s = 0; s < ids.size(); ++s) axis[s] = from[ids[s]];
-    }
-  }
-
   /// Scatters the store back to an AoS span of the same size.
   void scatter_to(std::span<Point<D>> out) const {
     MANET_EXPECT(out.size() == size_);
@@ -126,11 +114,6 @@ class PointStore {
     for (int i = 0; i < D; ++i) {
       axes_[static_cast<std::size_t>(i)][k] = p.coords[static_cast<std::size_t>(i)];
     }
-  }
-
-  friend void swap(PointStore& a, PointStore& b) noexcept {
-    a.axes_.swap(b.axes_);
-    std::swap(a.size_, b.size_);
   }
 
  private:

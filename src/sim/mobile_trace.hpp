@@ -115,12 +115,10 @@ class MobileConnectivityTrace {
 /// and of every subsequent step (`steps` curves in total; steps = 1 is the
 /// stationary case). Requires steps >= 1.
 ///
-/// The per-step curves are computed through `workspace` by the kinetic EMST
-/// engine (topology/emst_kinetic.hpp): a full build on the deployment, then
-/// an incremental repair per mobility step exploiting temporal coherence.
-/// Its repair invariant makes every step's tree bit-identical to a
-/// from-scratch batch EmstEngine solve, which tests/kinetic_differential_test
-/// checks against exactly that reference.
+/// Each step's tree is a from-scratch EmstEngine::euclidean solve through
+/// `workspace` (its `kinetic` member): dense Prim below kDenseCutoff, the
+/// grid path above. tests/kinetic_differential_test checks every step's tree
+/// against the test-only reference MST on both paths.
 ///
 /// Pass a workspace to reuse its buffers across multiple traces — e.g. a
 /// bench sweeping iterations serially — or leave it null for a per-call one.
@@ -139,14 +137,14 @@ MobileConnectivityTrace run_mobile_trace(std::size_t n, const Box<D>& box, std::
 
   std::vector<LargestComponentCurve> curves;
   curves.reserve(steps);
-  curves.push_back(kinetic_component_curve<D>(positions, box, ws, /*first_step=*/true));
+  curves.emplace_back(n, ws.kinetic.start(positions, box), ws.dsu, ws.breakpoints);
   for (std::size_t s = 1; s < steps; ++s) {
     model.step(positions, rng);
     // Whatever the model did, the trace must stay inside the deployment
     // region: every downstream occupancy / connectivity argument assumes it.
     MANET_INVARIANT(std::all_of(positions.begin(), positions.end(),
                                 [&box](const Point<D>& p) { return box.contains(p); }));
-    curves.push_back(kinetic_component_curve<D>(positions, box, ws, /*first_step=*/false));
+    curves.emplace_back(n, ws.kinetic.advance(positions), ws.dsu, ws.breakpoints);
   }
   return MobileConnectivityTrace(n, std::move(curves));
 }

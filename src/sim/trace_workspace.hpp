@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
-#include "geometry/box.hpp"
 #include "geometry/point.hpp"
 #include "graph/union_find.hpp"
 #include "topology/critical_range.hpp"
@@ -27,19 +25,17 @@ struct CurveMergeEvent {
 /// union-find and curve per step.
 ///
 /// Reuse contract:
-///   - reused across calls: the kinetic engine's cell grid, candidate-edge
-///     and tree buffers, the union-find and the breakpoint scratch;
-///   - the kinetic engine deliberately carries its candidate set, cell grid
-///     and previous positions between the steps of one trace — that reuse is
-///     the speedup — but its repair invariant makes every step's output
-///     provably bit-identical to a from-scratch batch solve
-///     (topology/emst_kinetic.hpp), so results never depend on prior steps
-///     or prior traces (start() re-baselines everything);
+///   - reused across calls: the engine's dense-Prim fringe, cell grid,
+///     candidate-edge and tree buffers, the union-find and the breakpoint
+///     scratch;
+///   - every step is a from-scratch EmstEngine solve that resets each value it
+///     reads, so results never depend on prior steps or prior traces;
 ///   - threading: a workspace is single-threaded state. The parallel MTRM
 ///     engine gives each iteration its own workspace (core/mtrm.hpp); never
 ///     share one across concurrent traces.
 template <int D>
 struct TraceWorkspace {
+  /// The per-step EMST solver of run_mobile_trace (topology/emst_kinetic.hpp).
   KineticEmstEngine<D> kinetic;
   UnionFind dsu{0};
   std::vector<LargestComponentCurve::Breakpoint> breakpoints;
@@ -52,18 +48,5 @@ struct TraceWorkspace {
   /// no state leaks between traces.
   std::vector<Point<D>> positions;
 };
-
-/// Component curve of one trace step through the workspace's kinetic engine:
-/// `first_step` starts a new trace (full build + re-baseline), subsequent
-/// calls repair incrementally. The returned curve is bit-identical to a batch
-/// EmstEngine solve's (topology/emst_kinetic.hpp explains why).
-template <int D>
-LargestComponentCurve kinetic_component_curve(std::span<const Point<D>> points,
-                                              const Box<D>& box, TraceWorkspace<D>& workspace,
-                                              bool first_step) {
-  const auto edges = first_step ? workspace.kinetic.start(points, box)
-                                : workspace.kinetic.advance(points);
-  return LargestComponentCurve(points.size(), edges, workspace.dsu, workspace.breakpoints);
-}
 
 }  // namespace manet

@@ -53,7 +53,7 @@ double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
 /// As r grows, components merge exactly at MST edge weights (Kruskal's merge
 /// process), so the whole curve has at most n-1 breakpoints and is computed
 /// once per point set from its EMST (topology/emst_grid.hpp; the mobile step
-/// loop uses the kinetic form in sim/trace_workspace.hpp). It answers, with
+/// loop keeps the engine in sim/trace_workspace.hpp). It answers, with
 /// no further simulation:
 ///   - largest component size at any range r,
 ///   - the minimum range making the largest component >= a target size

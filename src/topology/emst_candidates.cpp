@@ -118,11 +118,11 @@ void sort_candidates(CandidateBuffer& a, double d2_bound, CandidateSortScratch& 
   MANET_EXPECTS(std::isfinite(d2_bound) && d2_bound > 0.0);
   const double pre = std::ldexp(1.0, -std::max(std::ilogb(d2_bound), -1023));
   const double bound = d2_bound * pre * (1.0 + 1e-9);
-  // Three passes at either size. Small arrays (the kinetic delta: ~500 pairs
-  // at the paper's sizes) are cache-resident, so fixed costs dominate:
-  // 8-bit digits keep the prefix sums at 3 x 256 bins, a 24-bit key still
-  // collides rarely (~8 pairs at 2^14 elements), and cached keys save a
-  // multiply per pass. Large arrays (rebuilds: millions of pairs) are bound
+  // Three passes at either size. Small arrays (a dense-path tree of n - 1
+  // edges, a small grid solve's candidates) are cache-resident, so fixed
+  // costs dominate: 8-bit digits keep the prefix sums at 3 x 256 bins, a
+  // 24-bit key still collides rarely (~8 pairs at 2^14 elements), and cached
+  // keys save a multiply per pass. Large arrays (millions of pairs) are bound
   // by scatter traffic: 11-bit digits cover a 32-bit key, and recomputing
   // the key saves 8 bytes of traffic and of memory per candidate.
   if (size <= kSmallDigitLimit) {

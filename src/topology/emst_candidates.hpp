@@ -1,17 +1,15 @@
 #pragma once
 
-// Candidate-edge machinery shared by the two grid EMST engines
-// (topology/emst_grid.hpp and topology/emst_kinetic.hpp): the candidate
-// record, its strict (d2, u, v) total order, the one sort that produces that
-// order, and the Kruskal forest and loop both engines filter candidates
-// through.
-// Internal to the topology layer: nothing outside the engines (and their
+// Candidate-edge machinery of the EMST engine (topology/emst_grid.hpp): the
+// candidate record, its strict (d2, u, v) total order, the one sort that
+// produces that order (used by both the dense and the grid path), and the
+// Kruskal forest and loop the grid path filters candidates through.
+// Internal to the topology layer: nothing outside the engine (and its
 // tests) should need it.
 //
-// Filtered Kruskal under a strict total order accepts a unique tree, so two
-// engines that sort with the same routine and unite with the same forest
-// return the same tree bit for bit; sharing this header is what keeps the
-// batch/kinetic differential trivially true at the sort level.
+// Filtered Kruskal under a strict total order accepts a unique tree, so any
+// spanning candidate set that holds every pair within its radius yields the
+// same tree bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -98,8 +96,8 @@ void sort_candidates(CandidateBuffer& a, double d2_bound, CandidateSortScratch& 
 
 /// The calling thread's sort scratch. Engines run one at a time on a
 /// thread, so they share it: a sort's scatter buffer costs memory once per
-/// thread instead of once per engine (a kinetic trace and a batch re-solve
-/// of the same step would otherwise each keep a pool-sized copy).
+/// thread instead of once per engine (a trace's engine and a stationary
+/// solve on the same thread would otherwise each keep a pool-sized copy).
 CandidateSortScratch& thread_sort_scratch();
 
 /// Union-by-size forest with path halving, specialized for Kruskal: 32-bit

@@ -36,7 +36,8 @@ EmstMetrics& emst_metrics() {
 
 template <int D>
 double EmstEngine<D>::initial_radius(std::size_t n, double side) {
-  return emst_initial_radius<D>(n, side);
+  const double frac = std::log(static_cast<double>(n)) / static_cast<double>(n);
+  return side * std::pow(frac, 1.0 / static_cast<double>(D));
 }
 
 template <int D>
@@ -129,7 +130,7 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
   const double r_max = Torus ? 0.5 * side * std::sqrt(static_cast<double>(D))
                              : side * std::sqrt(static_cast<double>(D));
   const double r0 = initial_radius(n, side);
-  if (n < kDenseCutoff || r0 >= 0.5 * side) {
+  if (n < (Torus ? kTorusDenseCutoff : kDenseCutoff) || r0 >= 0.5 * side) {
     // Tiny inputs or near-complete candidate graphs: the grid cannot prune
     // enough pairs to pay for itself.
     dense_prim<Torus>(points, side);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -15,17 +14,6 @@
 
 namespace manet {
 
-/// Starting radius of the adaptive doubling search: the connectivity
-/// threshold scale l * (log n / n)^(1/D) of random geometric graphs. Shared
-/// by the batch engine below and the kinetic engine
-/// (topology/emst_kinetic.hpp) so both select the dense fallback — and start
-/// their searches — on exactly the same inputs.
-template <int D>
-inline double emst_initial_radius(std::size_t n, double side) noexcept {
-  const double frac = std::log(static_cast<double>(n)) / static_cast<double>(n);
-  return side * std::pow(frac, 1.0 / static_cast<double>(D));
-}
-
 /// Per-solve diagnostics of the adaptive EMST engine, exposed for the
 /// property tests.
 struct EmstGridStats {
@@ -36,17 +24,18 @@ struct EmstGridStats {
 };
 
 /// Euclidean MST engine with two paths picked by n alone: a vectorized dense
-/// Prim for the paper's sizes, and a filtered-Kruskal over the candidate
-/// edges enumerated by a CellGrid at an adaptive doubling radius for large n.
+/// Prim up to a few hundred nodes, and a filtered-Kruskal over the candidate
+/// edges enumerated by a CellGrid at an adaptive doubling radius above that.
 ///
-/// Dense path (n < kDenseCutoff, or an initial radius a large fraction of the
-/// region side): Prim over a compacted fringe in SoA form. Each round makes
-/// one kernels::prim_relax_argmin call (geometry/distance_kernels.hpp) that
+/// Dense path (n < kDenseCutoff, or n < kTorusDenseCutoff under the torus
+/// metric, or an initial radius a large fraction of the region side): Prim
+/// over a compacted fringe in SoA form. Each round makes one
+/// kernels::prim_relax_argmin call (geometry/distance_kernels.hpp) that
 /// relaxes every fringe vertex against the vertex added last and returns the
 /// closest, then swap-removes it. Among equal keys the smallest vertex id
 /// wins, as in `mst_with_metric`, so the dense tree equals that reference
-/// edge for edge. At n <= 128 the critical range is a large fraction of the
-/// side, the grid prunes few pairs, and this path is the faster one.
+/// edge for edge. Below the cutoff the grid prunes too few pairs to pay for
+/// its rebinning, sort and Kruskal.
 ///
 /// Grid path: the search starts near the expected connectivity threshold
 /// l * (log n / n)^(1/D) (the critical-range scale of random geometric
@@ -64,25 +53,31 @@ struct EmstGridStats {
 /// largest-component breakpoint curve, total weight) is bit-identical to the
 /// dense result. The PR 2 golden MTRM checksums are the regression gate.
 ///
-/// Both paths order their edges with the kinetic engine's own routines
-/// (topology/emst_candidates.hpp: the radix sort_candidates and, on the grid
-/// path, the 32-bit KruskalForest), so every engine emits one (d2, u, v)
-/// order. The engine is a reusable workspace: the fringe, grid, candidate
-/// buffer, forest and result tree all retain capacity across solves (the
-/// sort's scatter buffer is the thread's), so a hot loop (one solve per
-/// mobility step) performs no steady-state heap allocations. It is NOT
+/// Both paths order their edges with the routines of
+/// topology/emst_candidates.hpp (the radix sort_candidates and, on the grid
+/// path, the 32-bit KruskalForest), so both emit one (d2, u, v) order. The
+/// engine is a reusable workspace: the fringe, grid, candidate buffer, forest
+/// and result tree all retain capacity across solves (the sort's scatter
+/// buffer is the thread's), so a hot loop (one solve per mobility step)
+/// performs no steady-state heap allocations. It is NOT
 /// thread-safe; use one engine per thread (see sim/trace_workspace.hpp).
 template <int D>
 class EmstEngine {
  public:
-  /// n below which the dense path runs: every paper-figure size (n <= 128).
-  /// On paper-density traces (l = n^2) at n = 128 a dense step took 10.8 µs
-  /// against the kinetic repair's 11.3 µs under waypoint mobility and
-  /// 11.1 µs against 27.0 µs under drunkard mobility (DESIGN.md §10).
-  static constexpr std::size_t kDenseCutoff = 129;
+  /// n below which the Euclidean dense path runs. Timed against the grid
+  /// path (DESIGN.md §10), dense Prim was faster at every n <= 896 measured,
+  /// on uniform sets in D = 1, 2, 3 and on paper-density waypoint and
+  /// drunkard traces; at n = 1024 the grid won in D = 2 and on drunkard.
+  static constexpr std::size_t kDenseCutoff = 897;
+
+  /// n below which the torus dense path runs. Its relax round is the
+  /// portable loop: the wrap-aware grid was already faster at n = 96 in
+  /// D = 1, 2, dense Prim up to n = 256 in D = 3, so no single cutoff wins
+  /// in every D (DESIGN.md §10).
+  static constexpr std::size_t kTorusDenseCutoff = 129;
 
   /// n below which max_nearest_neighbor_range runs its all-pairs loop
-  /// instead of the grid search; kDenseCutoff governs the MST paths only.
+  /// instead of the grid search; the cutoffs above govern the MST paths only.
   /// Timed per call on uniform sets (x86-64, -O3), all-pairs vs grid: D = 1
   /// 2.9 vs 2.2 µs at n = 48 and 26.4 vs 9.3 µs at n = 128; D = 2 6.7 vs
   /// 8.5 µs at n = 64 and 27.3 vs 27.9 µs at n = 128; D = 3 27.0 vs 39.7 µs
@@ -122,7 +117,7 @@ class EmstEngine {
   void dense_prim(std::span<const Point<D>> points, double side);
 
   /// Starting radius of the doubling search: the connectivity threshold
-  /// scale l * (log n / n)^(1/D).
+  /// scale l * (log n / n)^(1/D) of random geometric graphs.
   static double initial_radius(std::size_t n, double side);
 
   CellGrid<D> grid_;

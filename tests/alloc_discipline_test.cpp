@@ -74,19 +74,18 @@ std::size_t count_trace_allocations(std::size_t n, const Box2& box, std::size_t 
 TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   // n above EmstEngine::kDenseCutoff so the grid path (grid rebuild,
   // candidate collection, Kruskal) is what's being measured.
-  const std::size_t n = 160;
-  static_assert(160 >= EmstEngine<2>::kDenseCutoff);
+  const std::size_t n = 1000;
+  static_assert(n >= EmstEngine<2>::kDenseCutoff);
   const Box2 box(32.0);
   constexpr std::size_t kShort = 60;
   constexpr std::size_t kLong = 180;
 
   TraceWorkspace<2> workspace;
   // Warm-up: grows every pooled buffer (grid bins, candidate edges, DSU,
-  // breakpoint scratch) to steady-state capacity. Both
-  // lengths run once — the rare fallback steps (radius growth/shrink
-  // rebuilds) regrid at radii that depend on where in the trajectory the
-  // trace ends, so each length's first run can grow a pooled bin vector a
-  // few times before capacities cover its whole trajectory.
+  // breakpoint scratch) to steady-state capacity. Both lengths run once:
+  // the candidate count and the grid radius of a step depend on the
+  // positions, so each length's first run can grow a pooled buffer a few
+  // times before capacities cover its whole trajectory.
   count_trace_allocations(n, box, kLong, workspace);
   count_trace_allocations(n, box, kShort, workspace);
 
@@ -101,7 +100,7 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   // everything else is pooled, and the final trace aggregation makes a fixed
   // number of allocations (TraceBuildAllocationsDoNotGrowWithEvents), so the
   // per-step average must stay close to 1 — and far below the O(n) per step
-  // (~160 here) that per-step buffer churn would cost.
+  // (~1000 here) that per-step buffer churn would cost.
   EXPECT_LE(per_step, 3.0) << "long=" << long_allocs << " short=" << short_allocs;
   EXPECT_GE(per_step, 1.0);
 }
@@ -136,134 +135,76 @@ TEST(AllocDiscipline, TraceBuildAllocationsDoNotGrowWithEvents) {
   EXPECT_EQ(few, many);
 }
 
+/// Steps `model` through `warm` solves of `engine`, then counts the heap
+/// allocations of `measured` more. Returns that count.
+std::size_t count_warm_step_allocations(KineticEmstEngine<2>& engine, MobilityModel<2>& model,
+                                        std::vector<Point2>& positions, const Box2& box,
+                                        Rng& rng, int warm, int measured) {
+  engine.start(positions, box);
+  for (int s = 0; s < warm; ++s) {
+    model.step(positions, rng);
+    engine.advance(positions);
+  }
+  g_news = 0;
+  g_counting = true;
+  for (int s = 0; s < measured; ++s) {
+    model.step(positions, rng);
+    engine.advance(positions);
+  }
+  g_counting = false;
+  return g_news;
+}
+
 TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
-  // The kinetic engine's discipline is stricter than the trace loop's: a
-  // warm advance() — incremental repair, no fallback — must perform ZERO
-  // heap allocations. Every buffer (grid lists, edge pool, merge scratch,
-  // DSU, retained tree) is preallocated and reused; the merge goes through
-  // the pooled merged_ buffer precisely because std::inplace_merge would
-  // allocate here.
-  const std::size_t n = 256;
+  // A warm trace step on the grid path (the trace engine's advance(): grid
+  // rebuild, candidate collection, sort, Kruskal) must perform ZERO heap
+  // allocations: the grid bins, candidate buffer, forest and tree keep their
+  // capacity, and the sort's scatter buffer is the thread's.
+  const std::size_t n = 1024;
+  static_assert(n >= EmstEngine<2>::kDenseCutoff);
   const double side = 64.0;
   const Box2 box(side);
   MobilityConfig config = MobilityConfig::paper_waypoint(side);
-  config.waypoint.p_stationary = 0.5;  // incremental path, never mass-move
+  config.waypoint.p_stationary = 0.5;
   const auto model = make_mobility_model<2>(config, box);
   Rng rng(0xA110C2ull);
   auto positions = uniform_deployment(n, box, rng);
   model->initialize(positions, rng);
 
-  KineticEmstEngine<2> kinetic;
-  kinetic.start(positions, box);
-  // Warm-up: grow all pooled buffers past their steady-state high-water
-  // marks (including a few radius-growth/shrink rebuilds if they happen).
-  for (int s = 0; s < 200; ++s) {
-    model->step(positions, rng);
-    kinetic.advance(positions);
-  }
-  ASSERT_FALSE(kinetic.stats().dense_mode);
-  const std::size_t repairs_before = kinetic.stats().incremental_repairs;
-
-  g_news = 0;
-  g_counting = true;
-  for (int s = 0; s < 200; ++s) {
-    model->step(positions, rng);
-    kinetic.advance(positions);
-  }
-  g_counting = false;
-  EXPECT_EQ(g_news, 0u) << "a warm kinetic advance() touched the heap";
-  EXPECT_GT(kinetic.stats().incremental_repairs, repairs_before)
-      << "measurement window never took the incremental path";
-
-  // The paper's drunkard in the Figure 3 shape n = sqrt(l), at the first
-  // such size the kinetic repair serves (n = 160, l = 25600): most nodes
-  // move every step, so every advance scans many movers and grows the delta
-  // buffer per mover, and radius-growth rebuilds interleave with the
-  // repairs. Once warm, none of it may allocate.
-  const std::size_t paper_n = 160;
-  const double paper_side = 25600.0;
-  static_assert(paper_n >= KineticEmstEngine<2>::kDenseCutoff);
-  const Box2 paper_box(paper_side);
-  const auto drunkard =
-      make_mobility_model<2>(MobilityConfig::paper_drunkard(paper_side), paper_box);
-  auto walkers = uniform_deployment(paper_n, paper_box, rng);
-  drunkard->initialize(walkers, rng);
-  KineticEmstEngine<2> paper_kinetic;
-  paper_kinetic.start(walkers, paper_box);
-  for (int s = 0; s < 1000; ++s) {
-    drunkard->step(walkers, rng);
-    paper_kinetic.advance(walkers);
-  }
-  ASSERT_FALSE(paper_kinetic.stats().dense_mode);
-  const KineticStats warm = paper_kinetic.stats();
-
-  g_news = 0;
-  g_counting = true;
-  std::size_t movers = 0;
-  for (int s = 0; s < 500; ++s) {
-    drunkard->step(walkers, rng);
-    paper_kinetic.advance(walkers);
-    movers += paper_kinetic.stats().last_moved;
-  }
-  g_counting = false;
-  EXPECT_EQ(g_news, 0u) << "a warm paper-drunkard advance() touched the heap";
-  EXPECT_GT(paper_kinetic.stats().incremental_repairs, warm.incremental_repairs);
-  EXPECT_GT(movers, 500u * paper_n / 2) << "the trace should move most nodes every step";
+  KineticEmstEngine<2> engine;
+  const std::size_t news =
+      count_warm_step_allocations(engine, *model, positions, box, rng, 200, 200);
+  EXPECT_EQ(news, 0u) << "a warm grid-path step touched the heap";
+  EXPECT_FALSE(engine.stats().dense_mode);
+  EXPECT_EQ(engine.stats().full_rebuilds, 401u);
 }
 
-TEST(AllocDiscipline, ReplayedPaperDrunkardWindowAtN256MakesZeroAllocations) {
-  // The paper's drunkard at n = 256, l = 65536. At this shape a growth
-  // rebuild with more candidates than any before it still grows the
-  // candidate and sort buffers after thousands of steps (a known engine
-  // item), so a fresh window is not guaranteed allocation-free. The window
-  // is replayed instead: one pass over the same 500 positions from start()
-  // warms the engine, and the second, identical pass must not touch the
-  // heap. Any per-step churn allocates in the second pass as much as in the
-  // first.
-  const std::size_t paper_n = 256;
-  const double paper_side = 65536.0;
-  static_assert(paper_n >= KineticEmstEngine<2>::kDenseCutoff);
-  const Box2 paper_box(paper_side);
+TEST(AllocDiscipline, PaperDrunkardWindowAtN1024MakesZeroAllocations) {
+  // The paper's drunkard in the Figure 3 shape n = sqrt(l) at n = 1024
+  // (l = 2^20), the first such size on the grid path: most nodes move every
+  // step, and the candidate count of a step varies with the positions. A
+  // fresh window after the start-up transient must not touch the heap.
+  const std::size_t n = 1024;
+  static_assert(n >= EmstEngine<2>::kDenseCutoff);
+  const double side = 1048576.0;
+  const Box2 box(side);
   Rng rng(0xA110C5ull);
-  const auto drunkard =
-      make_mobility_model<2>(MobilityConfig::paper_drunkard(paper_side), paper_box);
-  auto walkers = uniform_deployment(paper_n, paper_box, rng);
+  const auto drunkard = make_mobility_model<2>(MobilityConfig::paper_drunkard(side), box);
+  auto walkers = uniform_deployment(n, box, rng);
   drunkard->initialize(walkers, rng);
-  for (int s = 0; s < 1000; ++s) drunkard->step(walkers, rng);  // past the start-up transient
-  std::vector<std::vector<Point2>> window;
-  for (int s = 0; s < 500; ++s) {
-    drunkard->step(walkers, rng);
-    window.push_back(walkers);
-  }
 
-  KineticEmstEngine<2> paper_kinetic;
-  paper_kinetic.start(window[0], paper_box);
-  for (std::size_t s = 1; s < window.size(); ++s) paper_kinetic.advance(window[s]);
-  ASSERT_FALSE(paper_kinetic.stats().dense_mode);
-  const KineticStats warm = paper_kinetic.stats();
-
-  paper_kinetic.start(window[0], paper_box);
-  g_news = 0;
-  g_counting = true;
-  std::size_t movers = 0;
-  for (std::size_t s = 1; s < window.size(); ++s) {
-    paper_kinetic.advance(window[s]);
-    movers += paper_kinetic.stats().last_moved;
-  }
-  g_counting = false;
-  EXPECT_EQ(g_news, 0u) << "a replayed paper-drunkard advance() touched the heap";
-  EXPECT_GT(paper_kinetic.stats().incremental_repairs, 0u);
-  EXPECT_EQ(paper_kinetic.stats().incremental_repairs, warm.incremental_repairs);
-  EXPECT_GT(paper_kinetic.stats().radius_growths, 0u)
-      << "the window should interleave growth rebuilds with the repairs";
-  EXPECT_GT(movers, 499u * paper_n / 2) << "the trace should move most nodes every step";
+  KineticEmstEngine<2> engine;
+  const std::size_t news =
+      count_warm_step_allocations(engine, *drunkard, walkers, box, rng, 1000, 500);
+  EXPECT_EQ(news, 0u) << "a warm paper-drunkard step touched the heap";
+  EXPECT_FALSE(engine.stats().dense_mode);
 }
 
 TEST(AllocDiscipline, WarmDenseSolvesMakeZeroAllocations) {
   // The dense path serves every solve below kDenseCutoff (every paper-figure
   // size): its fringe, candidate buffer, sort scratch and tree are pooled,
-  // so warm batch solves and warm dense-mode kinetic advances at the
-  // largest dense size must not touch the heap.
+  // so warm batch solves and warm trace steps at the largest dense size
+  // must not touch the heap.
   const std::size_t n = EmstEngine<2>::kDenseCutoff - 1;
   const double side = 16384.0;
   const Box2 box(side);
@@ -273,43 +214,33 @@ TEST(AllocDiscipline, WarmDenseSolvesMakeZeroAllocations) {
   model->initialize(positions, rng);
 
   EmstEngine<2> batch;
-  KineticEmstEngine<2> kinetic;
-  kinetic.start(positions, box);
-  ASSERT_TRUE(kinetic.stats().dense_mode);
-  for (int s = 0; s < 20; ++s) {
-    model->step(positions, rng);
-    batch.euclidean(positions, box);
-    kinetic.advance(positions);
-  }
-
+  for (int s = 0; s < 20; ++s) batch.euclidean(positions, box);
   g_news = 0;
   g_counting = true;
   std::size_t edges = 0;
-  for (int s = 0; s < 200; ++s) {
-    model->step(positions, rng);
-    edges += batch.euclidean(positions, box).size();
-    edges += kinetic.advance(positions).size();
-  }
+  for (int s = 0; s < 50; ++s) edges += batch.euclidean(positions, box).size();
   g_counting = false;
   EXPECT_EQ(g_news, 0u) << "a warm dense solve touched the heap";
   EXPECT_TRUE(batch.stats().dense_fallback);
-  EXPECT_EQ(edges, 2u * 200u * (n - 1));
+  EXPECT_EQ(edges, 50u * (n - 1));
+
+  KineticEmstEngine<2> engine;
+  EXPECT_EQ(count_warm_step_allocations(engine, *model, positions, box, rng, 20, 50), 0u)
+      << "a warm dense trace step touched the heap";
+  EXPECT_TRUE(engine.stats().dense_mode);
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {
-  // The SoA bridge feeds every warm step (kinetic snapshots, waypoint
-  // scratch), so its whole surface — assign, both gathers, scatter, resize
-  // within capacity, swap — must be allocation-free once capacity has grown.
+  // The SoA bridge feeds every warm step (the dense-Prim fringe, the grid's
+  // slot coordinates, waypoint scratch), so its whole surface — assign,
+  // gather, scatter, resize within capacity — must be allocation-free once
+  // capacity has grown.
   const std::size_t n = 512;
   Rng rng(0xA110C3ull);
   const Box2 box(64.0);
   auto points = uniform_deployment(n, box, rng);
   std::vector<std::size_t> ids(n);
-  std::vector<std::uint32_t> ids32(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ids[i] = n - 1 - i;
-    ids32[i] = static_cast<std::uint32_t>(i / 2);
-  }
+  for (std::size_t i = 0; i < n; ++i) ids[i] = n - 1 - i;
 
   PointStore<2> a, b;
   a.reserve(n);
@@ -320,11 +251,9 @@ TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {
   for (int round = 0; round < 50; ++round) {
     a.assign(points);
     b.assign_gather(points, ids);
-    b.assign_gather(a, std::span<const std::uint32_t>(ids32));
     b.clear();
     b.resize(n);
-    swap(a, b);
-    a.scatter_to(points);
+    b.scatter_to(points);
   }
   g_counting = false;
   EXPECT_EQ(g_news, 0u) << "a warm PointStore operation touched the heap";

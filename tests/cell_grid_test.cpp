@@ -243,9 +243,9 @@ TEST(CellGrid, TorusSeamIsVisibleAtExactlyThreeCellsPerAxis) {
 
 TEST(CellGrid, RebuildInPlaceAcrossTheTorusFallbackBoundary) {
   // A reused grid crossing the cells_per_axis < 3 boundary in both
-  // directions — exactly what the kinetic engine's doubling loop does when a
-  // radius growth coarsens the grid past the fallback threshold and a later
-  // shrink refines it back. Every rebuild must answer torus queries exactly.
+  // directions — what a reused engine's doubling loop does when a radius
+  // growth coarsens the grid past the fallback threshold and a later solve
+  // refines it back. Every rebuild must answer torus queries exactly.
   Rng rng(27);
   const double side = 12.0;
   const Box2 box(side);

@@ -79,52 +79,6 @@ TEST(BatchSquaredDistance, BitIdenticalToScalar1D) { check_squared_distance<1>()
 TEST(BatchSquaredDistance, BitIdenticalToScalar2D) { check_squared_distance<2>(); }
 TEST(BatchSquaredDistance, BitIdenticalToScalar3D) { check_squared_distance<3>(); }
 
-// ----- batch_tuple_not_equal ----------------------------------------------
-
-template <int D>
-void check_tuple_not_equal() {
-  Rng rng(99u + static_cast<std::uint64_t>(D));
-  for (const std::size_t n : kCounts) {
-    PointStore<D> a = random_store<D>(n, 0.0, 1.0, rng);
-    PointStore<D> b = a;  // start equal everywhere
-    // Perturb a random subset, each in one random axis only: a fold that
-    // loses any axis' verdict misses some of them.
-    for (std::size_t k = 0; k < n; ++k) {
-      if (rng.bernoulli(0.4)) {
-        Point<D> p = b.get(k);
-        p.coords[rng.next_u64() % static_cast<std::size_t>(D)] += 1e-12;
-        b.set(k, p);
-      }
-    }
-    std::vector<std::uint8_t> dispatched(n, 2), portable(n, 2);
-    kernels::batch_tuple_not_equal<D>(a.axes(), b.axes(), n, dispatched.data());
-    kernels::batch_tuple_not_equal_portable<D>(a.axes(), b.axes(), n, portable.data());
-    for (std::size_t k = 0; k < n; ++k) {
-      const bool neq = !(a.get(k) == b.get(k));
-      EXPECT_EQ(dispatched[k], neq ? 1 : 0) << "D=" << D << " n=" << n << " k=" << k;
-      EXPECT_EQ(dispatched[k], portable[k]) << "D=" << D << " n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(BatchTupleNotEqual, MatchesPointInequality1D) { check_tuple_not_equal<1>(); }
-TEST(BatchTupleNotEqual, MatchesPointInequality2D) { check_tuple_not_equal<2>(); }
-TEST(BatchTupleNotEqual, MatchesPointInequality3D) { check_tuple_not_equal<3>(); }
-
-TEST(BatchTupleNotEqual, SignedZeroLanesCompareEqual) {
-  // IEEE `!=` says -0.0 == +0.0; the kernel must agree (vcmppd does).
-  PointStore<2> a, b;
-  a.resize(5);
-  b.resize(5);
-  for (std::size_t k = 0; k < 5; ++k) {
-    a.set(k, Point<2>{{+0.0, 1.0}});
-    b.set(k, Point<2>{{-0.0, 1.0}});
-  }
-  std::vector<std::uint8_t> out(5, 2);
-  kernels::batch_tuple_not_equal<2>(a.axes(), b.axes(), 5, out.data());
-  for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(out[k], 0u) << k;
-}
-
 // ----- batch_pair_distance ------------------------------------------------
 
 template <int D>

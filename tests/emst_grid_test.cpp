@@ -149,7 +149,7 @@ void check_uniform_configs() {
   constexpr std::size_t kCutoff = EmstEngine<D>::kDenseCutoff;
   for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{7}, std::size_t{31},
                         std::size_t{32}, std::size_t{33}, std::size_t{100}, kCutoff - 1,
-                        kCutoff, kCutoff + 1, std::size_t{300}}) {
+                        kCutoff, kCutoff + 1, std::size_t{1000}}) {
     for (double side : {1.0, 50.0, 2000.0}) check_uniform_point_set<D>(n, side, rng);
   }
 }
@@ -157,10 +157,10 @@ void check_uniform_configs() {
 TEST(EmstGrid, MatchesDenseAndKruskalUniform1D) { check_uniform_configs<1>(); }
 TEST(EmstGrid, MatchesDenseAndKruskalUniform2D) {
   check_uniform_configs<2>();
-  // The paper's l = 1024 region at n = 256 and 1024, drawn in that order
+  // The paper's l = 1024 region at n = 1024 and 2048, drawn in that order
   // from seed 1: the largest grid-path inputs of this suite.
   Rng rng(1);
-  for (std::size_t n : {std::size_t{256}, std::size_t{1024}}) {
+  for (std::size_t n : {std::size_t{1024}, std::size_t{2048}}) {
     check_uniform_point_set<2>(n, 1024.0, rng);
   }
 }
@@ -171,7 +171,7 @@ TEST(EmstGrid, MatchesDenseOnClusteredConfigs) {
   const Box2 box(1000.0);
   for (std::size_t clusters : {2u, 5u}) {
     for (double spread : {0.5, 10.0}) {
-      const auto points = clustered_deployment<2>(160, box, clusters, spread, rng);
+      const auto points = clustered_deployment<2>(1000, box, clusters, spread, rng);
       EmstEngine<2> engine;
       const auto grid = engine.euclidean(points, box);
       expect_value_identical(points.size(), euclidean_mst<2>(points), grid);
@@ -185,7 +185,7 @@ TEST(EmstGrid, MatchesDenseOnClusteredConfigs) {
 TEST(EmstGrid, CollinearAndDuplicatePointsAreHandled) {
   // Collinear points with duplicates: many exactly-tied candidate edges. The
   // small sets run the dense path, the sets of kGridN points the grid path.
-  constexpr std::size_t kGridN = 160;
+  constexpr std::size_t kGridN = 1000;
   static_assert(kGridN >= EmstEngine<2>::kDenseCutoff);
   for (const std::size_t n : {std::size_t{64}, kGridN}) {
     std::vector<Point2> points;
@@ -253,9 +253,9 @@ TEST(EmstGrid, TorusMatchesDenseTorusMetric3D) { check_torus_configs<3>(); }
 TEST(EmstGrid, TorusClusteredConfigsWrapAcrossBoundary) {
   // Clusters hugging opposite edges of the region: the torus MST must cross
   // the wrap seam, which only the wrap-aware neighbor scan can see. Two
-  // clusters of 80 put n above kDenseCutoff, so the grid path runs.
+  // clusters of 80 put n above kTorusDenseCutoff, so the grid path runs.
   constexpr std::size_t kPerCluster = 80;
-  static_assert(2 * kPerCluster >= EmstEngine<2>::kDenseCutoff);
+  static_assert(2 * kPerCluster >= EmstEngine<2>::kTorusDenseCutoff);
   Rng rng(11);
   const double side = 100.0;
   std::vector<Point2> points;
@@ -285,7 +285,7 @@ TEST(EmstGrid, EngineReuseIsBitIdenticalToFreshEngines) {
   const Box2 box(300.0);
   EmstEngine<2> reused;
   // Descending sizes so reuse shrinks the live ranges inside pooled buffers.
-  for (std::size_t n : {500u, 128u, 40u, 8u, 200u}) {
+  for (std::size_t n : {1000u, 500u, 128u, 40u, 8u, 200u}) {
     const auto points = uniform_deployment(n, box, rng);
     const auto from_reused = reused.euclidean(points, box);
     EmstEngine<2> fresh;
@@ -316,7 +316,7 @@ TEST(EmstGrid, StatsReflectChosenPath) {
   engine.euclidean(tiny, box);
   EXPECT_TRUE(engine.stats().dense_fallback);
 
-  const auto large = uniform_deployment(512, box, rng);
+  const auto large = uniform_deployment(1024, box, rng);
   engine.euclidean(large, box);
   EXPECT_FALSE(engine.stats().dense_fallback);
   EXPECT_GE(engine.stats().rounds, 1u);
@@ -374,6 +374,7 @@ void check_dense_trees_match_reference() {
   Rng rng(0xDE45Eu + static_cast<unsigned>(D));
   EmstEngine<D> engine;
   for (const std::size_t n : {2u, 3u, 31u, 32u, 33u, 64u, 127u, 128u}) {
+    ASSERT_LT(n, EmstEngine<D>::kTorusDenseCutoff);
     ASSERT_LT(n, EmstEngine<D>::kDenseCutoff);
     const auto per_axis = static_cast<std::size_t>(
         std::ceil(std::pow(static_cast<double>(n), 1.0 / static_cast<double>(D)) - 1e-9));
@@ -460,7 +461,8 @@ TEST(EmstGrid, WorkspaceCurveBuilderMatchesLegacyBuilder) {
     UnionFind dsu(n);
     std::vector<LargestComponentCurve::Breakpoint> scratch;
     const LargestComponentCurve one_shot(n, engine.euclidean(points, box), dsu, scratch);
-    const auto pooled = kinetic_component_curve<2>(points, box, workspace, /*first_step=*/true);
+    const LargestComponentCurve pooled(n, workspace.kinetic.start(points, box), workspace.dsu,
+                                       workspace.breakpoints);
     for (const auto* curve : {&one_shot, &pooled}) {
       const auto expected = legacy.breakpoints();
       const auto actual = curve->breakpoints();
