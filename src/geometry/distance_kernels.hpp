@@ -231,6 +231,13 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 // another slot holds the same key, so the caller can apply its own
 // tie rule (the smallest vertex id) with a scalar re-scan only then. Both
 // fields are specified when some key is finite.
+//
+// Every form takes a compile-time `Parents` flag. Without parents the round
+// neither writes `from` (which may be null) nor reads `current`, and leaves
+// `tie` false; `best` and the pick (the lowest slot at the smallest key) are
+// the same as with parents. A caller that needs only the keys in the order
+// Prim adds their vertices (topology/emst_grid.hpp's prim_order_keys) runs
+// it so.
 // ---------------------------------------------------------------------------
 
 /// Outcome of one dense Prim round.
@@ -244,10 +251,11 @@ namespace detail {
 /// The scalar relax + argmin over slots [begin, end), folded into `pick`
 /// whose current smallest key is `key`. Torus selects the flat-torus metric
 /// on [0, side]^D (the torus scalar core's per-axis sequence).
-template <int D, bool Torus>
+template <int D, bool Torus, bool Parents>
 void prim_relax_fold(const AxisPointers<D>& axes, std::size_t begin, std::size_t end,
-                     const double* q, [[maybe_unused]] double side, std::uint32_t current,
-                     double* best, std::uint32_t* from, PrimPick& pick, double& key) noexcept {
+                     const double* q, [[maybe_unused]] double side,
+                     [[maybe_unused]] std::uint32_t current, double* best,
+                     [[maybe_unused]] std::uint32_t* from, PrimPick& pick, double& key) noexcept {
   for (std::size_t k = begin; k < end; ++k) {
     double sum = 0.0;
     for (int i = 0; i < D; ++i) {
@@ -260,11 +268,11 @@ void prim_relax_fold(const AxisPointers<D>& axes, std::size_t begin, std::size_t
     }
     const bool closer = sum < best[k];
     best[k] = closer ? sum : best[k];
-    from[k] = closer ? current : from[k];
+    if constexpr (Parents) from[k] = closer ? current : from[k];
     if (best[k] < key) {
       key = best[k];
       pick = {k, false};
-    } else if (best[k] == key) {
+    } else if (Parents && best[k] == key) {
       pick.tie = true;
     }
   }
@@ -273,13 +281,14 @@ void prim_relax_fold(const AxisPointers<D>& axes, std::size_t begin, std::size_t
 }  // namespace detail
 
 /// One Euclidean dense Prim round; see the section comment for semantics.
-template <int D>
+template <int D, bool Parents = true>
 PrimPick prim_relax_argmin_portable(const AxisPointers<D>& axes, std::size_t count,
                                     const double* q, std::uint32_t current, double* best,
                                     std::uint32_t* from) noexcept {
   PrimPick pick{count, false};
   double key = std::numeric_limits<double>::infinity();
-  detail::prim_relax_fold<D, false>(axes, 0, count, q, 0.0, current, best, from, pick, key);
+  detail::prim_relax_fold<D, false, Parents>(axes, 0, count, q, 0.0, current, best, from, pick,
+                                             key);
   return pick;
 }
 
@@ -291,7 +300,8 @@ PrimPick torus_prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count,
                                  double* best, std::uint32_t* from) noexcept {
   PrimPick pick{count, false};
   double key = std::numeric_limits<double>::infinity();
-  detail::prim_relax_fold<D, true>(axes, 0, count, q, side, current, best, from, pick, key);
+  detail::prim_relax_fold<D, true, true>(axes, 0, count, q, side, current, best, from, pick,
+                                         key);
   return pick;
 }
 
@@ -301,8 +311,8 @@ namespace detail {
 
 /// Loop-invariant operands of an AVX2 Prim round and the per-lane running
 /// minimum: each lane keeps its smallest key, the lowest slot holding it,
-/// and whether it saw that key twice.
-template <int D>
+/// and (with parents) whether it saw that key twice.
+template <int D, bool Parents>
 struct PrimRoundAvx2 {
   AxisPointers<D> axes;  ///< a copy, so the loop keeps the pointers in registers
   double* best;
@@ -336,15 +346,16 @@ struct PrimRoundAvx2 {
     const __m256d old = _mm256_loadu_pd(best + at);
     const __m256d key = _mm256_min_pd(sum, old);
     _mm256_storeu_pd(best + at, key);
-    const __m256d closer = _mm256_cmp_pd(sum, old, _CMP_LT_OQ);
-    const __m128i closer32 = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(closer), low_dwords));
-    auto* from_at = reinterpret_cast<__m128i*>(from + at);
-    _mm_storeu_si128(from_at, _mm_blendv_epi8(_mm_loadu_si128(from_at), current, closer32));
-
     const __m256d lower = _mm256_cmp_pd(key, lanes.key, _CMP_LT_OQ);
-    const __m256d equal = _mm256_cmp_pd(key, lanes.key, _CMP_EQ_OQ);
-    lanes.tie = _mm256_andnot_pd(lower, _mm256_or_pd(lanes.tie, equal));
+    if constexpr (Parents) {
+      const __m256d closer = _mm256_cmp_pd(sum, old, _CMP_LT_OQ);
+      const __m128i closer32 = _mm256_castsi256_si128(
+          _mm256_permutevar8x32_epi32(_mm256_castpd_si256(closer), low_dwords));
+      auto* from_at = reinterpret_cast<__m128i*>(from + at);
+      _mm_storeu_si128(from_at, _mm_blendv_epi8(_mm_loadu_si128(from_at), current, closer32));
+      const __m256d equal = _mm256_cmp_pd(key, lanes.key, _CMP_EQ_OQ);
+      lanes.tie = _mm256_andnot_pd(lower, _mm256_or_pd(lanes.tie, equal));
+    }
     lanes.key = _mm256_min_pd(key, lanes.key);
     lanes.slot = _mm256_castpd_si256(
         _mm256_blendv_pd(_mm256_castsi256_pd(lanes.slot), _mm256_castsi256_pd(slot), lower));
@@ -360,12 +371,12 @@ struct PrimRoundAvx2 {
 /// chain. The pick is the
 /// portable loop's: the lowest slot among the lanes at the smallest key,
 /// then the scalar tail, whose slots follow every lane's.
-template <int D>
+template <int D, bool Parents = true>
 __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
     const AxisPointers<D>& axes, std::size_t count, const double* q, std::uint32_t current,
     double* best, std::uint32_t* from) noexcept {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  using Round = detail::PrimRoundAvx2<D>;
+  using Round = detail::PrimRoundAvx2<D, Parents>;
   const Round round{axes,
                     best,
                     from,
@@ -399,7 +410,8 @@ __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
   const int at_a = _mm256_movemask_pd(_mm256_cmp_pd(a.key, key, _CMP_EQ_OQ));
   const int at_b = _mm256_movemask_pd(_mm256_cmp_pd(b.key, key, _CMP_EQ_OQ));
   const unsigned at = static_cast<unsigned>(at_a | (at_b << 4));
-  const int tied = (_mm256_movemask_pd(a.tie) & at_a) | (_mm256_movemask_pd(b.tie) & at_b);
+  const int tied =
+      Parents ? (_mm256_movemask_pd(a.tie) & at_a) | (_mm256_movemask_pd(b.tie) & at_b) : 0;
   alignas(32) std::int64_t slots[8] = {};
   _mm256_store_si256(reinterpret_cast<__m256i*>(slots), a.slot);
   _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 4), b.slot);
@@ -407,14 +419,14 @@ __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
   PrimPick pick{static_cast<std::size_t>(slots[__builtin_ctz(at)]), false};
   if (tied != 0 || (at & (at - 1)) != 0) {
     // Rare: the key sits in several lanes, or twice in one.
-    pick.tie = true;
+    pick.tie = Parents;
     for (unsigned rest = at; rest != 0; rest &= rest - 1) {
       pick.slot = std::min(pick.slot, static_cast<std::size_t>(slots[__builtin_ctz(rest)]));
     }
   }
   double min_key = _mm256_cvtsd_f64(key);
-  detail::prim_relax_fold<D, false>(axes, k, count, q, 0.0, current, best, from, pick,
-                                    min_key);
+  detail::prim_relax_fold<D, false, Parents>(axes, k, count, q, 0.0, current, best, from, pick,
+                                             min_key);
   return pick;
 }
 
@@ -423,14 +435,16 @@ __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
 /// One Euclidean dense Prim round; best, from and the pick are bit-identical
 /// on every path. The AVX2 form is a source of its own, so the pick is made
 /// here rather than by with_best_isa.
-template <int D>
+template <int D, bool Parents = true>
 inline PrimPick prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count,
                                   const double* q, std::uint32_t current, double* best,
                                   std::uint32_t* from) noexcept {
 #if MANET_KERNELS_X86
-  if (cpu_has_avx2()) return prim_relax_argmin_avx2<D>(axes, count, q, current, best, from);
+  if (cpu_has_avx2()) {
+    return prim_relax_argmin_avx2<D, Parents>(axes, count, q, current, best, from);
+  }
 #endif
-  return prim_relax_argmin_portable<D>(axes, count, q, current, best, from);
+  return prim_relax_argmin_portable<D, Parents>(axes, count, q, current, best, from);
 }
 
 }  // namespace manet::kernels

@@ -13,6 +13,7 @@
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "topology/critical_range.hpp"
+#include "topology/emst_grid.hpp"
 
 namespace manet {
 
@@ -115,10 +116,12 @@ class MobileConnectivityTrace {
 /// and of every subsequent step (`steps` curves in total; steps = 1 is the
 /// stationary case). Requires steps >= 1.
 ///
-/// Each step's tree is a from-scratch EmstEngine::euclidean solve through
-/// `workspace` (its `kinetic` member): dense Prim below kDenseCutoff, the
-/// grid path above. tests/kinetic_differential_test checks every step's tree
-/// against the test-only reference MST on both paths.
+/// Each step is a from-scratch EmstEngine solve through `workspace` (its
+/// `kinetic` member). On the dense path (EmstEngine::dense_path) the step's
+/// curve comes straight from the Prim order of a parent-less Prim
+/// (LargestComponentCurve::from_prim_order); on the grid path from the
+/// sorted tree through the union-find. tests/kinetic_differential_test checks
+/// every step against the test-only reference MST on both paths.
 ///
 /// Pass a workspace to reuse its buffers across multiple traces — e.g. a
 /// bench sweeping iterations serially — or leave it null for a per-call one.
@@ -135,16 +138,23 @@ MobileConnectivityTrace run_mobile_trace(std::size_t n, const Box<D>& box, std::
   std::vector<Point<D>>& positions = ws.positions;
   model.initialize(positions, rng);
 
+  const bool dense = EmstEngine<D>::dense_path(n);
+  const auto step_curve = [&] {
+    return dense ? LargestComponentCurve::from_prim_order(
+                       n, ws.kinetic.advance_prim_order(positions), ws.prim_order, ws.breakpoints)
+                 : LargestComponentCurve(n, ws.kinetic.advance(positions), ws.dsu, ws.breakpoints);
+  };
   std::vector<LargestComponentCurve> curves;
   curves.reserve(steps);
-  curves.emplace_back(n, ws.kinetic.start(positions, box), ws.dsu, ws.breakpoints);
+  ws.kinetic.begin(box);
+  curves.push_back(step_curve());
   for (std::size_t s = 1; s < steps; ++s) {
     model.step(positions, rng);
     // Whatever the model did, the trace must stay inside the deployment
     // region: every downstream occupancy / connectivity argument assumes it.
     MANET_INVARIANT(std::all_of(positions.begin(), positions.end(),
                                 [&box](const Point<D>& p) { return box.contains(p); }));
-    curves.emplace_back(n, ws.kinetic.advance(positions), ws.dsu, ws.breakpoints);
+    curves.push_back(step_curve());
   }
   return MobileConnectivityTrace(n, std::move(curves));
 }

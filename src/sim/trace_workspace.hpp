@@ -25,9 +25,9 @@ struct CurveMergeEvent {
 /// union-find and curve per step.
 ///
 /// Reuse contract:
-///   - reused across calls: the engine's dense-Prim fringe, cell grid,
-///     candidate-edge and tree buffers, the union-find and the breakpoint
-///     scratch;
+///   - reused across calls: the engine's dense-Prim fringe and key buffer,
+///     cell grid, candidate-edge and tree buffers, the union-find, the
+///     Prim-order run scratch and the breakpoint scratch;
 ///   - every step is a from-scratch EmstEngine solve that resets each value it
 ///     reads, so results never depend on prior steps or prior traces;
 ///   - threading: a workspace is single-threaded state. The parallel MTRM
@@ -37,7 +37,11 @@ template <int D>
 struct TraceWorkspace {
   /// The per-step EMST solver of run_mobile_trace (topology/emst_kinetic.hpp).
   KineticEmstEngine<D> kinetic;
+  /// The grid path's curve builder (LargestComponentCurve's workspace
+  /// constructor).
   UnionFind dsu{0};
+  /// The dense path's curve builder (LargestComponentCurve::from_prim_order).
+  LargestComponentCurve::PrimOrderScratch prim_order;
   std::vector<LargestComponentCurve::Breakpoint> breakpoints;
   /// Shim kept for perfbench; delete with the next benchmark change. Always
   /// empty: run_mobile_trace does not use it.

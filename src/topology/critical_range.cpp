@@ -40,6 +40,10 @@ void LargestComponentCurve::build_from_sorted(std::size_t n,
     }
   }
   MANET_ENSURES(dsu.all_connected());
+  check_step_function(n, out);
+}
+
+void LargestComponentCurve::check_step_function(std::size_t n, std::span<const Breakpoint> out) {
   MANET_ENSURES(out.back().size == n);
   // The curve is a nondecreasing step function: ranges and sizes both ascend.
   MANET_INVARIANT(std::is_sorted(
@@ -48,6 +52,46 @@ void LargestComponentCurve::build_from_sorted(std::size_t n,
   MANET_INVARIANT(std::is_sorted(
       out.begin(), out.end(),
       [](const Breakpoint& a, const Breakpoint& b) { return a.size < b.size; }));
+}
+
+LargestComponentCurve LargestComponentCurve::from_prim_order(std::size_t n,
+                                                             std::span<const double> prim_order_d2,
+                                                             PrimOrderScratch& work,
+                                                             std::vector<Breakpoint>& scratch) {
+  MANET_EXPECTS(prim_order_d2.size() + 1 == n || (n <= 1 && prim_order_d2.empty()));
+  scratch.clear();
+  scratch.push_back({0.0, n == 0 ? std::size_t{0} : std::size_t{1}});
+  if (n >= 2) {
+    // key_at_span[s]: the smallest key of a run spanning s nodes; after the
+    // suffix minimum, the smallest at which the largest component holds at
+    // least s nodes (nondecreasing in s, finite from s = 2 on: the last run
+    // spans all n).
+    std::vector<double>& key_at_span = work.key_at_span;
+    key_at_span.assign(n + 1, std::numeric_limits<double>::infinity());
+    detail::for_each_prim_run(prim_order_d2, work.stack, [&](std::size_t span, double key) {
+      key_at_span[span] = std::min(key_at_span[span], key);
+    });
+    for (std::size_t s = n - 1; s >= 2; --s) {
+      key_at_span[s] = std::min(key_at_span[s], key_at_span[s + 1]);
+    }
+    // One breakpoint per distinct key, at the largest size it reaches; keys
+    // that cover to the same range share one, as equal weights do in
+    // build_from_sorted.
+    for (std::size_t s = 2; s <= n; ++s) {
+      if (s < n && key_at_span[s + 1] == key_at_span[s]) continue;
+      const double range = covering_radius(key_at_span[s]);
+      if (scratch.back().range == range) {
+        scratch.back().size = s;
+      } else {
+        scratch.push_back({range, s});
+      }
+    }
+  }
+  check_step_function(n, scratch);
+  LargestComponentCurve curve(n);
+  // Exact-size copy: the single retained allocation of a mobility step.
+  curve.breakpoints_ = scratch;
+  return curve;
 }
 
 LargestComponentCurve::LargestComponentCurve(std::size_t n, std::vector<WeightedEdge> mst_edges)

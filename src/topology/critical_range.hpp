@@ -27,7 +27,9 @@ namespace manet {
 ///
 /// rc equals the bottleneck (longest edge) of the Euclidean MST, solved in
 /// expected O(n log n) by the adaptive EMST engine (topology/emst_grid.hpp).
-/// Returns 0 for n <= 1 point sets (vacuously connected).
+/// On its dense path the bottleneck is the largest key of a parent-less
+/// Prim, so no tree is built, sorted or covered. Returns 0 for n <= 1 point
+/// sets (vacuously connected).
 template <int D>
 double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
   if constexpr (D == 1) {
@@ -43,9 +45,50 @@ double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
     return covering_radius(max_gap * max_gap);
   } else {
     EmstEngine<D> engine;
-    return tree_bottleneck(engine.euclidean(points, box));
+    if (!EmstEngine<D>::dense_path(points.size())) {
+      return tree_bottleneck(engine.euclidean(points, box));
+    }
+    // covering_radius is monotone, so it commutes with the max.
+    const auto keys = engine.prim_order_keys(points);
+    return covering_radius(keys.empty() ? 0.0 : *std::max_element(keys.begin(), keys.end()));
   }
 }
+
+namespace detail {
+
+/// A pending run of for_each_prim_run's stack: the key joining it to the
+/// run on its left, and the vertices it spans so far.
+struct PrimRun {
+  double key;
+  std::size_t span;
+};
+
+/// Calls emit(span, key) once per component that forms as the range grows,
+/// given the squared keys of a Prim run in the order it added their
+/// vertices (EmstEngine::prim_order_keys): `span` is the component's size
+/// and `key` the threshold at which it forms. Prim adds a vertex with a key
+/// above t only when no fringe vertex lies within t of the tree, so the
+/// components at threshold t are the runs of the Prim order between the
+/// keys above t (DESIGN.md §10). One monotone-stack pass over the keys
+/// finds them: a run closes when a strictly larger key arrives, and an
+/// equal key extends it rather than closing it. `stack` is scratch.
+template <class Emit>
+void for_each_prim_run(std::span<const double> keys, std::vector<PrimRun>& stack, Emit&& emit) {
+  stack.clear();
+  std::size_t span = 1;  // the vertices added since the key on top of the stack
+  for (std::size_t i = 0; i <= keys.size(); ++i) {
+    const double key = i < keys.size() ? keys[i] : std::numeric_limits<double>::infinity();
+    while (!stack.empty() && stack.back().key <= key) {
+      span += stack.back().span;
+      if (stack.back().key < key) emit(span, stack.back().key);
+      stack.pop_back();
+    }
+    stack.push_back({key, span});
+    span = 1;
+  }
+}
+
+}  // namespace detail
 
 /// The largest-connected-component size of a point graph as a function of
 /// the transmitting range r: a right-continuous nondecreasing step function.
@@ -79,6 +122,24 @@ class LargestComponentCurve {
   LargestComponentCurve(std::size_t n, std::span<const WeightedEdge> sorted_mst_edges,
                         UnionFind& dsu, std::vector<Breakpoint>& scratch);
 
+  /// Reusable buffers of from_prim_order.
+  struct PrimOrderScratch {
+    std::vector<detail::PrimRun> stack;
+    std::vector<double> key_at_span;
+  };
+
+  /// The dense mobile step's builder: the curve straight from the squared
+  /// keys of a Prim run in the order it added their vertices
+  /// (EmstEngine::prim_order_keys), with no tree, sort or union-find. A
+  /// suffix minimum over the spans of for_each_prim_run gives the key at
+  /// which the largest component reaches each size; only those keys are
+  /// covered. The curve is a property of the graph, so it equals the
+  /// Kruskal builder's bit for bit. Same allocation contract as the
+  /// workspace constructor.
+  static LargestComponentCurve from_prim_order(std::size_t n, std::span<const double> prim_order_d2,
+                                               PrimOrderScratch& work,
+                                               std::vector<Breakpoint>& scratch);
+
   std::size_t node_count() const noexcept { return n_; }
 
   /// Largest component size at transmitting range r (>= 0).
@@ -97,6 +158,12 @@ class LargestComponentCurve {
   std::span<const Breakpoint> breakpoints() const noexcept { return breakpoints_; }
 
  private:
+  explicit LargestComponentCurve(std::size_t n) : n_(n) {}
+
+  /// The shape every builder ends with: ranges and sizes ascending up to
+  /// size n.
+  static void check_step_function(std::size_t n, std::span<const Breakpoint> out);
+
   /// Kruskal merge process over weight-sorted MST edges, appending the
   /// resulting step function to `out` (cleared first).
   static void build_from_sorted(std::size_t n, std::span<const WeightedEdge> sorted_edges,

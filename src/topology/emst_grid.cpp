@@ -41,8 +41,9 @@ double EmstEngine<D>::initial_radius(std::size_t n, double side) {
 }
 
 template <int D>
-template <bool Torus>
+template <bool Torus, bool Parents>
 void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
+  static_assert(Parents || !Torus, "the torus always builds its tree");
   const std::size_t n = points.size();
   stats_.dense_fallback = true;
   emst_metrics().dense.increment();
@@ -59,22 +60,30 @@ void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
   fringe_.resize(padded);
   for (std::size_t i = 0; i < padded; ++i) fringe_.set(i, i < n ? points[i] : inert);
   fringe_best_.assign(padded, kInf);
-  fringe_from_.assign(padded, 0);
-  fringe_id_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) fringe_id_[i] = static_cast<std::uint32_t>(i);
+  if constexpr (Parents) {
+    fringe_from_.assign(padded, 0);
+    fringe_id_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) fringe_id_[i] = static_cast<std::uint32_t>(i);
+  }
   std::size_t count = n;
   const auto remove_slot = [&](std::size_t slot) {
     --count;
     fringe_.set(slot, fringe_.get(count));
     fringe_best_[slot] = fringe_best_[count];
-    fringe_from_[slot] = fringe_from_[count];
-    fringe_id_[slot] = fringe_id_[count];
+    if constexpr (Parents) {
+      fringe_from_[slot] = fringe_from_[count];
+      fringe_id_[slot] = fringe_id_[count];
+    }
     fringe_.set(count, inert);
     fringe_best_[count] = kInf;
   };
   remove_slot(0);
 
-  candidates_.resize(n - 1);
+  if constexpr (Parents) {
+    candidates_.resize(n - 1);
+  } else {
+    prim_keys_.resize(n - 1);
+  }
   Point<D> added = points[0];
   std::uint32_t current = 0;
   double max_d2 = 0.0;
@@ -84,30 +93,37 @@ void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
     const kernels::PrimPick pick =
         Torus ? kernels::torus_prim_relax_argmin<D>(fringe_.axes(), scanned, added.coords.data(),
                                                      side, current, best, fringe_from_.data())
-              : kernels::prim_relax_argmin<D>(fringe_.axes(), scanned, added.coords.data(),
-                                               current, best, fringe_from_.data());
+              : kernels::prim_relax_argmin<D, Parents>(fringe_.axes(), scanned,
+                                                       added.coords.data(), current, best,
+                                                       fringe_from_.data());
     std::size_t slot = pick.slot;
     MANET_ENSURES(slot < count && best[slot] < kInf);
-    if (pick.tie) {
-      // Equal keys go to the smallest vertex id, as in mst_with_metric.
-      for (std::size_t k = 0; k < count; ++k) {
-        if (best[k] == best[slot] && fringe_id_[k] < fringe_id_[slot]) slot = k;
+    if constexpr (Parents) {
+      if (pick.tie) {
+        // Equal keys go to the smallest vertex id, as in mst_with_metric.
+        for (std::size_t k = 0; k < count; ++k) {
+          if (best[k] == best[slot] && fringe_id_[k] < fringe_id_[slot]) slot = k;
+        }
       }
+      current = fringe_id_[slot];
+      candidates_[e] = {best[slot], fringe_from_[slot], current};
+      max_d2 = std::max(max_d2, best[slot]);
+    } else {
+      prim_keys_[e] = best[slot];
     }
-    current = fringe_id_[slot];
     added = fringe_.get(slot);
-    candidates_[e] = {best[slot], fringe_from_[slot], current};
-    max_d2 = std::max(max_d2, best[slot]);
     remove_slot(slot);
   }
 
-  // The output contract is (d2, u, v) order, as on the grid path. The sort
-  // needs a positive bound; when every point coincides all keys are 0 and
-  // any positive bound holds.
-  detail::sort_candidates(candidates_, max_d2 > 0.0 ? max_d2 : 1.0,
-                          detail::thread_sort_scratch());
-  for (const detail::EmstCandidate& c : candidates_) {
-    mst_.push_back({c.u, c.v, covering_radius(c.d2)});
+  if constexpr (Parents) {
+    // The output contract is (d2, u, v) order, as on the grid path. The sort
+    // needs a positive bound; when every point coincides all keys are 0 and
+    // any positive bound holds.
+    detail::sort_candidates(candidates_, max_d2 > 0.0 ? max_d2 : 1.0,
+                            detail::thread_sort_scratch());
+    for (const detail::EmstCandidate& c : candidates_) {
+      mst_.push_back({c.u, c.v, covering_radius(c.d2)});
+    }
   }
 }
 
@@ -125,20 +141,18 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
   }
   emst_metrics().solves.increment();
 
+  if (Torus ? n < kTorusDenseCutoff : dense_path(n)) {
+    // Below the cutoff the grid cannot prune enough pairs to pay for itself.
+    dense_prim<Torus, true>(points, side);
+    return mst_;
+  }
+
   // The farthest any pair can be: at this radius the candidate graph is
   // complete, so the doubling search always terminates.
   const double r_max = Torus ? 0.5 * side * std::sqrt(static_cast<double>(D))
                              : side * std::sqrt(static_cast<double>(D));
-  const double r0 = initial_radius(n, side);
-  if (n < (Torus ? kTorusDenseCutoff : kDenseCutoff) || r0 >= 0.5 * side) {
-    // Tiny inputs or near-complete candidate graphs: the grid cannot prune
-    // enough pairs to pay for itself.
-    dense_prim<Torus>(points, side);
-    return mst_;
-  }
-
   const Box<D> box(side);
-  double radius = std::min(r0, r_max);
+  double radius = std::min(initial_radius(n, side), r_max);
   for (;;) {
     ++stats_.rounds;
     emst_metrics().rounds.increment();
@@ -179,6 +193,17 @@ template <int D>
 std::span<const WeightedEdge> EmstEngine<D>::euclidean(std::span<const Point<D>> points,
                                                        const Box<D>& box) {
   return solve<false>(points, box.side());
+}
+
+template <int D>
+std::span<const double> EmstEngine<D>::prim_order_keys(std::span<const Point<D>> points) {
+  MANET_EXPECTS(dense_path(points.size()));
+  stats_ = {};
+  prim_keys_.clear();
+  if (points.size() <= 1) return prim_keys_;
+  emst_metrics().solves.increment();
+  dense_prim<false, false>(points, 0.0);
+  return prim_keys_;
 }
 
 template <int D>

@@ -28,8 +28,7 @@ struct EmstGridStats {
 /// edges enumerated by a CellGrid at an adaptive doubling radius above that.
 ///
 /// Dense path (n < kDenseCutoff, or n < kTorusDenseCutoff under the torus
-/// metric, or an initial radius a large fraction of the region side): Prim
-/// over a compacted fringe in SoA form. Each round makes one
+/// metric): Prim over a compacted fringe in SoA form. Each round makes one
 /// kernels::prim_relax_argmin call (geometry/distance_kernels.hpp) that
 /// relaxes every fringe vertex against the vertex added last and returns the
 /// closest, then swap-removes it. Among equal keys the smallest vertex id
@@ -70,11 +69,14 @@ class EmstEngine {
   /// drunkard traces; at n = 1024 the grid won in D = 2 and on drunkard.
   static constexpr std::size_t kDenseCutoff = 897;
 
-  /// n below which the torus dense path runs. Its relax round is the
-  /// portable loop: the wrap-aware grid was already faster at n = 96 in
-  /// D = 1, 2, dense Prim up to n = 256 in D = 3, so no single cutoff wins
-  /// in every D (DESIGN.md §10).
-  static constexpr std::size_t kTorusDenseCutoff = 129;
+  /// n below which the torus dense path runs, per D. Its relax round is the
+  /// portable loop, and the wrap-aware grid overtakes it far sooner in
+  /// D = 1, 2 than in D = 3 (timed both ways, DESIGN.md §10).
+  static constexpr std::size_t kTorusDenseCutoff = D == 1 ? 21 : D == 2 ? 73 : 377;
+
+  /// Whether a Euclidean solve of n points takes the dense path: the one
+  /// place the choice is made (the torus compares n with its own cutoff).
+  static constexpr bool dense_path(std::size_t n) noexcept { return n < kDenseCutoff; }
 
   /// n below which max_nearest_neighbor_range runs its all-pairs loop
   /// instead of the grid search; the cutoffs above govern the MST paths only.
@@ -93,6 +95,15 @@ class EmstEngine {
   /// n-1 edges sorted ascending by weight (empty for n <= 1), valid until
   /// the next call on this engine.
   std::span<const WeightedEdge> euclidean(std::span<const Point<D>> points, const Box<D>& box);
+
+  /// The keys of a dense Prim from vertex 0 without its tree: the n-1
+  /// squared edge lengths in the order Prim adds their far ends (empty for
+  /// n <= 1), valid until the next call. The round keeps no parents and
+  /// breaks key ties by slot, not by vertex id, so the order may differ from
+  /// the one behind `euclidean`'s tree. The largest key is the bottleneck,
+  /// and LargestComponentCurve::from_prim_order builds the component curve
+  /// from the order. Requires dense_path(n).
+  std::span<const double> prim_order_keys(std::span<const Point<D>> points);
 
   /// MST under the flat-torus metric on [0, side]^D (geometry/torus.hpp).
   /// Same contract as `euclidean`; wrap-aware neighbor cells keep the grid
@@ -113,7 +124,9 @@ class EmstEngine {
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
-  template <bool Torus>
+  /// Prim over the padded SoA fringe. With parents it fills mst_ in
+  /// (d2, u, v) order; without, prim_keys_ in Prim order.
+  template <bool Torus, bool Parents>
   void dense_prim(std::span<const Point<D>> points, double side);
 
   /// Starting radius of the doubling search: the connectivity threshold
@@ -124,10 +137,12 @@ class EmstEngine {
   detail::KruskalForest dsu_;
   detail::CandidateBuffer candidates_;
   std::vector<WeightedEdge> mst_;
+  std::vector<double> prim_keys_;
   std::vector<double> nn2_;
   // Dense-path fringe, compacted into slots [0, count): coordinates, best
-  // squared distance to the tree, the tree vertex at that distance, and the
-  // vertex id (pooled so the dense path is allocation-free too).
+  // squared distance to the tree, and with parents the tree vertex at that
+  // distance and the vertex id (pooled so the dense path is allocation-free
+  // too).
   PointStore<D> fringe_;
   std::vector<double> fringe_best_;
   std::vector<std::uint32_t> fringe_from_;

@@ -28,7 +28,7 @@ struct KineticStats {
 };
 
 /// The engine of a mobile trace (TraceWorkspace::kinetic): one
-/// EmstEngine::euclidean solve per step, in the region given to start().
+/// EmstEngine solve per step, in the region given to begin() or start().
 /// It keeps the interface of the incremental repair it replaced only
 /// because the frozen perfbench sources drive traces through it; delete it
 /// with the next benchmark change (ROADMAP). Not thread-safe; one engine per
@@ -36,11 +36,16 @@ struct KineticStats {
 template <int D>
 class KineticEmstEngine {
  public:
+  /// Begins a trace in `box` without solving a step.
+  void begin(const Box<D>& box) {
+    side_ = box.side();
+    stats_ = {};
+  }
+
   /// Begins a trace in `box` and solves its first step. Returns the n-1 MST
   /// edges in (d2, u, v) order (empty for n <= 1), valid until the next call.
   std::span<const WeightedEdge> start(std::span<const Point<D>> points, const Box<D>& box) {
-    side_ = box.side();
-    stats_ = {};
+    begin(box);
     return advance(points);
   }
 
@@ -53,6 +58,16 @@ class KineticEmstEngine {
     stats_.candidate_edges = solve.candidate_edges;
     if (solve.rounds > 0) ++stats_.full_rebuilds;
     return tree;
+  }
+
+  /// Solves the next step on the dense path without its tree: the squared
+  /// Prim-order keys of EmstEngine::prim_order_keys, valid until the next
+  /// call. Requires EmstEngine<D>::dense_path(n).
+  std::span<const double> advance_prim_order(std::span<const Point<D>> points) {
+    const auto keys = engine_.prim_order_keys(points);
+    stats_.dense_mode = true;
+    stats_.candidate_edges = 0;
+    return keys;
   }
 
   const KineticStats& stats() const noexcept { return stats_; }

@@ -71,12 +71,9 @@ std::size_t count_trace_allocations(std::size_t n, const Box2& box, std::size_t 
   return g_news;
 }
 
-TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
-  // n above EmstEngine::kDenseCutoff so the grid path (grid rebuild,
-  // candidate collection, Kruskal) is what's being measured.
-  const std::size_t n = 1000;
-  static_assert(n >= EmstEngine<2>::kDenseCutoff);
-  const Box2 box(32.0);
+/// Differences the allocations of two warm traces of n nodes in `box`: one
+/// step must cost about one allocation.
+void expect_constant_allocation_per_step(std::size_t n, const Box2& box) {
   constexpr std::size_t kShort = 60;
   constexpr std::size_t kLong = 180;
 
@@ -100,9 +97,25 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   // everything else is pooled, and the final trace aggregation makes a fixed
   // number of allocations (TraceBuildAllocationsDoNotGrowWithEvents), so the
   // per-step average must stay close to 1 — and far below the O(n) per step
-  // (~1000 here) that per-step buffer churn would cost.
+  // that per-step buffer churn would cost.
   EXPECT_LE(per_step, 3.0) << "long=" << long_allocs << " short=" << short_allocs;
   EXPECT_GE(per_step, 1.0);
+}
+
+TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
+  // n above EmstEngine::kDenseCutoff so the grid path (grid rebuild,
+  // candidate collection, Kruskal) is what's being measured.
+  const std::size_t n = 1000;
+  static_assert(n >= EmstEngine<2>::kDenseCutoff);
+  expect_constant_allocation_per_step(n, Box2(32.0));
+}
+
+TEST(AllocDiscipline, DenseTraceStepLoopIsConstantAllocationPerStep) {
+  // The paper's largest figure shape: the dense path, whose curve comes from
+  // the Prim order through the pooled run stack and span keys.
+  const std::size_t n = 128;
+  static_assert(EmstEngine<2>::dense_path(n));
+  expect_constant_allocation_per_step(n, Box2(16384.0));
 }
 
 std::size_t count_trace_build_allocations(const LargestComponentCurve& curve, std::size_t steps) {

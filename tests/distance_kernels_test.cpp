@@ -198,7 +198,9 @@ struct PrimState {
 /// Runs `rounds` successive Prim rounds over `fringe` through the reference,
 /// the portable form and (when the CPU has it) the AVX2 form, each on its
 /// own copy of best/from, and requires bit-equal keys, equal `from` ids and
-/// equal picks after every round. Returns the reference picks.
+/// equal picks after every round. The parent-less instantiations run too,
+/// with no `from` at all: the same keys and slot, and no tie flag. Returns
+/// the reference picks.
 template <int D>
 std::vector<kernels::PrimPick> check_prim_rounds(const PointStore<D>& fringe, std::size_t count,
                                                  const std::vector<Point<D>>& queries,
@@ -206,6 +208,8 @@ std::vector<kernels::PrimPick> check_prim_rounds(const PointStore<D>& fringe, st
   PrimState reference{initial_best, std::vector<std::uint32_t>(count, 0)};
   PrimState portable = reference;
   PrimState avx2 = reference;
+  std::vector<double> portable_keys = initial_best;
+  std::vector<double> avx2_keys = initial_best;
   std::vector<kernels::PrimPick> picks;
   for (std::size_t r = 0; r < queries.size(); ++r) {
     const auto current = static_cast<std::uint32_t>(1000 + r);
@@ -217,21 +221,31 @@ std::vector<kernels::PrimPick> check_prim_rounds(const PointStore<D>& fringe, st
         fringe.axes(), count, q, current, portable.best.data(), portable.from.data());
     EXPECT_EQ(got.slot, expected.slot) << "portable, D=" << D << " count=" << count;
     EXPECT_EQ(got.tie, expected.tie) << "portable, D=" << D << " count=" << count;
+    const kernels::PrimPick keys_only = kernels::prim_relax_argmin_portable<D, false>(
+        fringe.axes(), count, q, current, portable_keys.data(), nullptr);
+    EXPECT_EQ(keys_only.slot, expected.slot) << "portable keys, D=" << D << " count=" << count;
+    EXPECT_FALSE(keys_only.tie) << "portable keys, D=" << D << " count=" << count;
 #if MANET_KERNELS_X86
     if (kernels::cpu_has_avx2()) {
       const kernels::PrimPick lanes = kernels::prim_relax_argmin_avx2<D>(
           fringe.axes(), count, q, current, avx2.best.data(), avx2.from.data());
       EXPECT_EQ(lanes.slot, expected.slot) << "avx2, D=" << D << " count=" << count;
       EXPECT_EQ(lanes.tie, expected.tie) << "avx2, D=" << D << " count=" << count;
+      const kernels::PrimPick lane_keys = kernels::prim_relax_argmin_avx2<D, false>(
+          fringe.axes(), count, q, current, avx2_keys.data(), nullptr);
+      EXPECT_EQ(lane_keys.slot, expected.slot) << "avx2 keys, D=" << D << " count=" << count;
+      EXPECT_FALSE(lane_keys.tie) << "avx2 keys, D=" << D << " count=" << count;
     }
 #endif
     for (std::size_t k = 0; k < count; ++k) {
       EXPECT_TRUE(bits_equal(portable.best[k], reference.best[k])) << "k=" << k;
       EXPECT_EQ(portable.from[k], reference.from[k]) << "k=" << k;
+      EXPECT_TRUE(bits_equal(portable_keys[k], reference.best[k])) << "keys k=" << k;
 #if MANET_KERNELS_X86
       if (kernels::cpu_has_avx2()) {
         EXPECT_TRUE(bits_equal(avx2.best[k], reference.best[k])) << "avx2 k=" << k;
         EXPECT_EQ(avx2.from[k], reference.from[k]) << "avx2 k=" << k;
+        EXPECT_TRUE(bits_equal(avx2_keys[k], reference.best[k])) << "avx2 keys k=" << k;
       }
 #endif
     }

@@ -374,7 +374,6 @@ void check_dense_trees_match_reference() {
   Rng rng(0xDE45Eu + static_cast<unsigned>(D));
   EmstEngine<D> engine;
   for (const std::size_t n : {2u, 3u, 31u, 32u, 33u, 64u, 127u, 128u}) {
-    ASSERT_LT(n, EmstEngine<D>::kTorusDenseCutoff);
     ASSERT_LT(n, EmstEngine<D>::kDenseCutoff);
     const auto per_axis = static_cast<std::size_t>(
         std::ceil(std::pow(static_cast<double>(n), 1.0 / static_cast<double>(D)) - 1e-9));
@@ -393,11 +392,41 @@ void check_dense_trees_match_reference() {
       EXPECT_TRUE(engine.stats().dense_fallback);
       expect_same_tree_as_reference(n, euclidean_mst<D>(points), euclidean);
       const auto torus = engine.torus(points, side);
-      EXPECT_TRUE(engine.stats().dense_fallback);
-      expect_same_tree_as_reference(n, mst_with_metric<D>(points, torus_d2), torus);
+      const auto torus_reference = mst_with_metric<D>(points, torus_d2);
+      if (n < EmstEngine<D>::kTorusDenseCutoff) {
+        EXPECT_TRUE(engine.stats().dense_fallback);
+        expect_same_tree_as_reference(n, torus_reference, torus);
+      } else {
+        // The torus grid path: ties may pick another minimal tree.
+        EXPECT_FALSE(engine.stats().dense_fallback);
+        expect_value_identical(n, torus_reference, torus);
+      }
     }
   }
 }
+
+/// Uniform torus inputs just below and at the per-D torus cutoff take the
+/// dense and the grid path, and both give the reference weights.
+template <int D>
+void check_torus_cutoff() {
+  constexpr std::size_t kCutoff = EmstEngine<D>::kTorusDenseCutoff;
+  Rng rng(0x70205u + static_cast<unsigned>(D));
+  const double side = 50.0;
+  const auto torus_d2 = [side](const Point<D>& a, const Point<D>& b) {
+    return torus_squared_distance(a, b, side);
+  };
+  EmstEngine<D> engine;
+  for (const std::size_t n : {kCutoff - 1, kCutoff}) {
+    const auto points = uniform_deployment(n, Box<D>(side), rng);
+    const auto torus = engine.torus(points, side);
+    EXPECT_EQ(engine.stats().dense_fallback, n < kCutoff) << "D=" << D << " n=" << n;
+    expect_value_identical(n, mst_with_metric<D>(points, torus_d2), torus);
+  }
+}
+
+TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff1D) { check_torus_cutoff<1>(); }
+TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff2D) { check_torus_cutoff<2>(); }
+TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff3D) { check_torus_cutoff<3>(); }
 
 TEST(EmstDense, TreeEqualsReferenceEdgeForEdge1D) { check_dense_trees_match_reference<1>(); }
 TEST(EmstDense, TreeEqualsReferenceEdgeForEdge2D) { check_dense_trees_match_reference<2>(); }
