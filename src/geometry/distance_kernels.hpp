@@ -217,10 +217,10 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 }
 
 // ---------------------------------------------------------------------------
-// Dense Prim round (topology/emst_grid.cpp's dense path). The fringe — the
+// Dense Prim round (topology/emst_grid.cpp's dense path). A fringe — the
 // vertices not yet in the tree — is compacted into slots [0, count): SoA
 // coordinates, the best squared distance to the tree so far (`best`), and
-// the tree vertex achieving it (`from`). One call relaxes every slot against
+// the tree vertex achieving it (`from`). One round relaxes every slot against
 // the vertex `current` just added at q and picks the next vertex:
 //
 //   d2 = squared distance (scalar core's per-axis order, no FMA)
@@ -232,6 +232,13 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 // tie rule (the smallest vertex id) with a scalar re-scan only then. Both
 // fields are specified when some key is finite.
 //
+// A round serves K independent fringes (PrimFringe) of the same count in one
+// loop: each block of slots is relaxed for fringe 0, 1, ..., K-1 in turn, and
+// every fringe keeps its own argmin. The fringes share no state, so the CPU
+// overlaps their per-round chains (argmin, next query, broadcast, relax),
+// and each fringe's outcome is exactly that of a round of its own. K = 1 is
+// a single solve.
+//
 // Every form takes a compile-time `Parents` flag. Without parents the round
 // neither writes `from` (which may be null) nor reads `current`, and leaves
 // `tie` false; `best` and the pick (the lowest slot at the smallest key) are
@@ -240,78 +247,106 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 // it so.
 // ---------------------------------------------------------------------------
 
-/// Outcome of one dense Prim round.
+/// One fringe of a dense Prim round and the vertex just added to its tree.
+template <int D>
+struct PrimFringe {
+  AxisPointers<D> axes;           ///< coordinates of the slots
+  const double* q;                ///< coordinates of the vertex just added
+  double* best;                   ///< the key of each slot, relaxed in place
+  std::uint32_t* from = nullptr;  ///< the parent of each slot (with parents only)
+  std::uint32_t current = 0;      ///< the id of the vertex at q (with parents only)
+};
+
+/// Outcome of one dense Prim round on one fringe.
 struct PrimPick {
   std::size_t slot;  ///< lowest slot holding the smallest key (count if none is finite)
   bool tie;          ///< another slot holds the same key
 };
 
+/// One pick per fringe of a K-fringe round.
+template <std::size_t K>
+using PrimPicks = std::array<PrimPick, K>;
+
 namespace detail {
 
-/// The scalar relax + argmin over slots [begin, end), folded into `pick`
-/// whose current smallest key is `key`. Torus selects the flat-torus metric
-/// on [0, side]^D (the torus scalar core's per-axis sequence).
-template <int D, bool Torus, bool Parents>
-void prim_relax_fold(const AxisPointers<D>& axes, std::size_t begin, std::size_t end,
-                     const double* q, [[maybe_unused]] double side,
-                     [[maybe_unused]] std::uint32_t current, double* best,
-                     [[maybe_unused]] std::uint32_t* from, PrimPick& pick, double& key) noexcept {
+/// The scalar relax + argmin over slots [begin, end) of every fringe, slot
+/// by slot, folded into each fringe's pick, whose current smallest key is
+/// keys[j]. Torus selects the flat-torus metric on [0, side]^D (the torus
+/// scalar core's per-axis sequence).
+template <int D, bool Torus, bool Parents, std::size_t K>
+void prim_relax_fold(const std::array<PrimFringe<D>, K>& fringes, std::size_t begin,
+                     std::size_t end, [[maybe_unused]] double side, PrimPicks<K>& picks,
+                     std::array<double, K>& keys) noexcept {
   for (std::size_t k = begin; k < end; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      if constexpr (Torus) {
-        d = std::abs(d);
-        d = std::min(d, side - d);
+    for (std::size_t j = 0; j < K; ++j) {
+      const PrimFringe<D>& f = fringes[j];
+      double sum = 0.0;
+      for (int i = 0; i < D; ++i) {
+        double d = f.axes[static_cast<std::size_t>(i)][k] - f.q[i];
+        if constexpr (Torus) {
+          d = std::abs(d);
+          d = std::min(d, side - d);
+        }
+        sum += d * d;
       }
-      sum += d * d;
-    }
-    const bool closer = sum < best[k];
-    best[k] = closer ? sum : best[k];
-    if constexpr (Parents) from[k] = closer ? current : from[k];
-    if (best[k] < key) {
-      key = best[k];
-      pick = {k, false};
-    } else if (Parents && best[k] == key) {
-      pick.tie = true;
+      const bool closer = sum < f.best[k];
+      f.best[k] = closer ? sum : f.best[k];
+      if constexpr (Parents) f.from[k] = closer ? f.current : f.from[k];
+      if (f.best[k] < keys[j]) {
+        keys[j] = f.best[k];
+        picks[j] = {k, false};
+      } else if (Parents && f.best[k] == keys[j]) {
+        picks[j].tie = true;
+      }
     }
   }
 }
 
-}  // namespace detail
-
-/// One Euclidean dense Prim round; see the section comment for semantics.
-template <int D, bool Parents = true>
-PrimPick prim_relax_argmin_portable(const AxisPointers<D>& axes, std::size_t count,
-                                    const double* q, std::uint32_t current, double* best,
-                                    std::uint32_t* from) noexcept {
-  PrimPick pick{count, false};
-  double key = std::numeric_limits<double>::infinity();
-  detail::prim_relax_fold<D, false, Parents>(axes, 0, count, q, 0.0, current, best, from, pick,
-                                             key);
-  return pick;
+/// The scalar round from slot 0 on: no pick yet, at an infinite key.
+template <int D, bool Torus, bool Parents, std::size_t K>
+PrimPicks<K> prim_relax_scalar(const std::array<PrimFringe<D>, K>& fringes, std::size_t count,
+                               double side) noexcept {
+  PrimPicks<K> picks;
+  picks.fill({count, false});
+  std::array<double, K> keys;
+  keys.fill(std::numeric_limits<double>::infinity());
+  prim_relax_fold<D, Torus, Parents, K>(fringes, 0, count, side, picks, keys);
+  return picks;
 }
 
-/// One dense Prim round under the flat-torus metric on [0, side]^D. The
-/// torus serves only the stationary boundary ablation, so it has no AVX2 form.
+}  // namespace detail
+
+/// One Euclidean dense Prim round on each of K fringes of `count` slots; see
+/// the section comment for semantics.
+template <int D, bool Parents, std::size_t K>
+PrimPicks<K> prim_relax_argmin_portable(const std::array<PrimFringe<D>, K>& fringes,
+                                        std::size_t count) noexcept {
+  return detail::prim_relax_scalar<D, false, Parents, K>(fringes, count, 0.0);
+}
+
+/// One dense Prim round with parents under the flat-torus metric on
+/// [0, side]^D. The torus serves only the stationary boundary ablation, so it
+/// has no AVX2 form and no batch.
 template <int D>
-PrimPick torus_prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count,
-                                 const double* q, double side, std::uint32_t current,
-                                 double* best, std::uint32_t* from) noexcept {
-  PrimPick pick{count, false};
-  double key = std::numeric_limits<double>::infinity();
-  detail::prim_relax_fold<D, true, true>(axes, 0, count, q, side, current, best, from, pick,
-                                         key);
-  return pick;
+PrimPick torus_prim_relax_argmin(const PrimFringe<D>& fringe, std::size_t count,
+                                 double side) noexcept {
+  return detail::prim_relax_scalar<D, true, true, 1>({fringe}, count, side)[0];
 }
 
 #if MANET_KERNELS_X86
 
 namespace detail {
 
-/// Loop-invariant operands of an AVX2 Prim round and the per-lane running
-/// minimum: each lane keeps its smallest key, the lowest slot holding it,
-/// and (with parents) whether it saw that key twice.
+/// The per-lane running minimum of an AVX2 Prim round: each lane keeps its
+/// smallest key, the lowest slot holding it, and (with parents) whether it
+/// saw that key twice.
+struct PrimLanes {
+  __m256d key;
+  __m256i slot;
+  __m256d tie;
+};
+
+/// Loop-invariant operands of one fringe of an AVX2 Prim round.
 template <int D, bool Parents>
 struct PrimRoundAvx2 {
   AxisPointers<D> axes;  ///< a copy, so the loop keeps the pointers in registers
@@ -321,17 +356,11 @@ struct PrimRoundAvx2 {
   __m128i current;
   __m256i low_dwords;  ///< gathers the low dword of each qword lane
 
-  struct Lanes {
-    __m256d key;
-    __m256i slot;
-    __m256d tie;
-  };
-
   /// Relaxes slots [at, at + 4) (whose indices are `slot`) and folds their
   /// keys into `lanes`. The running key is a min, not a compare-and-blend,
   /// so the loop-carried chain is one instruction.
   __attribute__((target("avx2"), always_inline)) void relax4(std::size_t at, __m256i slot,
-                                                             Lanes& lanes) const noexcept {
+                                                             PrimLanes& lanes) const noexcept {
     __m256d d = _mm256_sub_pd(_mm256_loadu_pd(axes[0] + at), q0);
     __m256d sum = _mm256_mul_pd(d, d);
     if constexpr (D >= 2) {
@@ -362,59 +391,24 @@ struct PrimRoundAvx2 {
   }
 };
 
-}  // namespace detail
-
-/// Lane-wise form of prim_relax_argmin_portable, and the one hand-written
-/// intrinsic kernel: the portable round's fused argmin keeps the vectorizer
-/// out, and the one-source forms tried ran ~2x slower (DESIGN.md §15). Two
-/// sets of lanes (slots 8j..8j+3 and 8j+4..8j+7) halve the loop-carried
-/// chain. The pick is the
-/// portable loop's: the lowest slot among the lanes at the smallest key,
-/// then the scalar tail, whose slots follow every lane's.
-template <int D, bool Parents = true>
-__attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
-    const AxisPointers<D>& axes, std::size_t count, const double* q, std::uint32_t current,
-    double* best, std::uint32_t* from) noexcept {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  using Round = detail::PrimRoundAvx2<D, Parents>;
-  const Round round{axes,
-                    best,
-                    from,
-                    _mm256_set1_pd(q[0]),
-                    _mm256_set1_pd(D >= 2 ? q[1] : 0.0),
-                    _mm256_set1_pd(D >= 3 ? q[2] : 0.0),
-                    _mm_set1_epi32(static_cast<int>(current)),
-                    _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)};
-  const __m256i four = _mm256_set1_epi64x(4);
-  const __m256i eight = _mm256_set1_epi64x(8);
-  __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
-  typename Round::Lanes a{_mm256_set1_pd(kInf),
-                          _mm256_set1_epi64x(static_cast<long long>(count)),
-                          _mm256_setzero_pd()};
-  typename Round::Lanes b = a;
-  std::size_t k = 0;
-  for (; k + 8 <= count; k += 8) {
-    round.relax4(k, slot, a);
-    round.relax4(k + 4, _mm256_add_epi64(slot, four), b);
-    slot = _mm256_add_epi64(slot, eight);
-  }
-  if (k + 4 <= count) {
-    round.relax4(k, slot, a);
-    k += 4;
-  }
-
-  // The smallest key over all eight lanes, and the lanes holding it.
-  __m256d key = _mm256_min_pd(a.key, b.key);
+/// The pick of one fringe's lane sets, and its smallest key: the lowest
+/// slot among the lanes at the smallest key.
+template <bool Parents, std::size_t Sets>
+__attribute__((target("avx2"), always_inline)) inline PrimPick lane_pick(
+    const std::array<PrimLanes, Sets>& sets, double& min_key) noexcept {
+  __m256d key = sets[0].key;
+  for (std::size_t s = 1; s < Sets; ++s) key = _mm256_min_pd(key, sets[s].key);
   key = _mm256_min_pd(key, _mm256_permute2f128_pd(key, key, 1));
   key = _mm256_min_pd(key, _mm256_permute_pd(key, 0b0101));
-  const int at_a = _mm256_movemask_pd(_mm256_cmp_pd(a.key, key, _CMP_EQ_OQ));
-  const int at_b = _mm256_movemask_pd(_mm256_cmp_pd(b.key, key, _CMP_EQ_OQ));
-  const unsigned at = static_cast<unsigned>(at_a | (at_b << 4));
-  const int tied =
-      Parents ? (_mm256_movemask_pd(a.tie) & at_a) | (_mm256_movemask_pd(b.tie) & at_b) : 0;
-  alignas(32) std::int64_t slots[8] = {};
-  _mm256_store_si256(reinterpret_cast<__m256i*>(slots), a.slot);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 4), b.slot);
+  unsigned at = 0;
+  int tied = 0;
+  alignas(32) std::int64_t slots[4 * Sets] = {};
+  for (std::size_t s = 0; s < Sets; ++s) {
+    const int at_s = _mm256_movemask_pd(_mm256_cmp_pd(sets[s].key, key, _CMP_EQ_OQ));
+    at |= static_cast<unsigned>(at_s) << (4 * s);
+    if constexpr (Parents) tied |= _mm256_movemask_pd(sets[s].tie) & at_s;
+    _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 4 * s), sets[s].slot);
+  }
   // `at` is never empty: the smallest key is one of the lanes' keys.
   PrimPick pick{static_cast<std::size_t>(slots[__builtin_ctz(at)]), false};
   if (tied != 0 || (at & (at - 1)) != 0) {
@@ -424,27 +418,79 @@ __attribute__((target("avx2"))) PrimPick prim_relax_argmin_avx2(
       pick.slot = std::min(pick.slot, static_cast<std::size_t>(slots[__builtin_ctz(rest)]));
     }
   }
-  double min_key = _mm256_cvtsd_f64(key);
-  detail::prim_relax_fold<D, false, Parents>(axes, k, count, q, 0.0, current, best, from, pick,
-                                             min_key);
+  min_key = _mm256_cvtsd_f64(key);
   return pick;
+}
+
+}  // namespace detail
+
+/// Lane-wise form of prim_relax_argmin_portable, and the one hand-written
+/// intrinsic kernel: the portable round's fused argmin keeps the vectorizer
+/// out, and the one-source forms tried ran ~2x slower (DESIGN.md §15). Each
+/// block of four slots is relaxed for every fringe before the next block,
+/// so K fringes give K independent loop-carried chains; a lone fringe splits
+/// its slots over two lane sets (8j..8j+3 and 8j+4..8j+7) for two. A pick is
+/// the portable loop's: the lowest slot among the lanes at the smallest key,
+/// then the scalar tail, whose slots follow every lane's.
+template <int D, bool Parents, std::size_t K>
+__attribute__((target("avx2"))) PrimPicks<K> prim_relax_argmin_avx2(
+    const std::array<PrimFringe<D>, K>& fringes, std::size_t count) noexcept {
+  constexpr std::size_t kSets = K == 1 ? 2 : 1;
+  using Round = detail::PrimRoundAvx2<D, Parents>;
+  std::array<Round, K> rounds;
+  for (std::size_t j = 0; j < K; ++j) {
+    const double* q = fringes[j].q;
+    rounds[j] = {fringes[j].axes,
+                 fringes[j].best,
+                 fringes[j].from,
+                 _mm256_set1_pd(q[0]),
+                 _mm256_set1_pd(D >= 2 ? q[1] : 0.0),
+                 _mm256_set1_pd(D >= 3 ? q[2] : 0.0),
+                 _mm_set1_epi32(static_cast<int>(fringes[j].current)),
+                 _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)};
+  }
+  std::array<std::array<detail::PrimLanes, kSets>, K> lanes;
+  for (auto& sets : lanes) {
+    sets.fill({_mm256_set1_pd(std::numeric_limits<double>::infinity()),
+               _mm256_set1_epi64x(static_cast<long long>(count)), _mm256_setzero_pd()});
+  }
+  const __m256i four = _mm256_set1_epi64x(4);
+  __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
+  std::size_t k = 0;
+  for (; k + 4 * kSets <= count; k += 4 * kSets) {
+    for (std::size_t s = 0; s < kSets; ++s) {
+      for (std::size_t j = 0; j < K; ++j) rounds[j].relax4(k + 4 * s, slot, lanes[j][s]);
+      slot = _mm256_add_epi64(slot, four);
+    }
+  }
+  if (kSets == 2 && k + 4 <= count) {
+    rounds[0].relax4(k, slot, lanes[0][0]);
+    k += 4;
+  }
+  PrimPicks<K> picks;
+  std::array<double, K> keys;
+  for (std::size_t j = 0; j < K; ++j) picks[j] = detail::lane_pick<Parents>(lanes[j], keys[j]);
+  // The tail runs in the baseline-ISA fold, before which GCC may emit no
+  // vzeroupper; with the upper halves left dirty, every SSE instruction of
+  // the fold and of the caller pays a merge (measured: the K = 4 round ran
+  // ~3x slower in the engine than in isolation).
+  _mm256_zeroupper();
+  detail::prim_relax_fold<D, false, Parents, K>(fringes, k, count, 0.0, picks, keys);
+  return picks;
 }
 
 #endif  // MANET_KERNELS_X86
 
-/// One Euclidean dense Prim round; best, from and the pick are bit-identical
-/// on every path. The AVX2 form is a source of its own, so the pick is made
-/// here rather than by with_best_isa.
-template <int D, bool Parents = true>
-inline PrimPick prim_relax_argmin(const AxisPointers<D>& axes, std::size_t count,
-                                  const double* q, std::uint32_t current, double* best,
-                                  std::uint32_t* from) noexcept {
+/// One Euclidean dense Prim round on each of K fringes; best, from and the
+/// picks are bit-identical on every path. The AVX2 form is a source of its
+/// own, so the pick is made here rather than by with_best_isa.
+template <int D, bool Parents, std::size_t K>
+inline PrimPicks<K> prim_relax_argmin(const std::array<PrimFringe<D>, K>& fringes,
+                                      std::size_t count) noexcept {
 #if MANET_KERNELS_X86
-  if (cpu_has_avx2()) {
-    return prim_relax_argmin_avx2<D, Parents>(axes, count, q, current, best, from);
-  }
+  if (cpu_has_avx2()) return prim_relax_argmin_avx2<D, Parents, K>(fringes, count);
 #endif
-  return prim_relax_argmin_portable<D, Parents>(axes, count, q, current, best, from);
+  return prim_relax_argmin_portable<D, Parents, K>(fringes, count);
 }
 
 }  // namespace manet::kernels

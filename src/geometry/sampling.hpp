@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 
 #include "geometry/box.hpp"
 #include "geometry/point.hpp"
@@ -40,17 +41,18 @@ Point<D> uniform_in_ball_in_box(const Point<D>& center, double radius, const Box
   MANET_EXPECTS(radius > 0.0);
   MANET_EXPECTS(box.contains(center));
 
-  Point<D> lo;
-  Point<D> hi;
+  // The clipped cube, one interval per axis: each draw is Rng::uniform(lo,
+  // hi)'s, with its cap below hi taken once per call, not per rejection.
+  std::array<UniformInterval, D> axes;
   for (int i = 0; i < D; ++i) {
-    lo.coords[i] = std::max(0.0, center.coords[i] - radius);
-    hi.coords[i] = std::min(box.side(), center.coords[i] + radius);
+    axes[i] = UniformInterval(std::max(0.0, center.coords[i] - radius),
+                              std::min(box.side(), center.coords[i] + radius));
   }
 
   const double r2 = radius * radius;
   for (;;) {
     Point<D> p;
-    for (int i = 0; i < D; ++i) p.coords[i] = rng.uniform(lo.coords[i], hi.coords[i]);
+    for (int i = 0; i < D; ++i) p.coords[i] = axes[i](rng);
     if (squared_distance(p, center) <= r2) {
       MANET_ENSURE(box.contains(p));
       return p;

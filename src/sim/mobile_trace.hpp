@@ -1,10 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include <algorithm>
 
 #include "geometry/box.hpp"
 #include "mobility/mobility_model.hpp"
@@ -120,8 +120,14 @@ class MobileConnectivityTrace {
 /// `kinetic` member). On the dense path (EmstEngine::dense_path) the step's
 /// curve comes straight from the Prim order of a parent-less Prim
 /// (LargestComponentCurve::from_prim_order); on the grid path from the
-/// sorted tree through the union-find. tests/kinetic_differential_test checks
-/// every step against the test-only reference MST on both paths.
+/// sorted tree through the union-find. Below EmstEngine::kPrimBatchCutoff,
+/// dense steps are solved in groups of EmstEngine::kPrimBatch: the model
+/// advances through the group's steps first, in the usual draw order,
+/// snapshotting each step's positions, and one batched solve then yields
+/// every step's keys; a last group of fewer steps, and every step from the
+/// cutoff on, is solved alone. No solve draws from `rng`, so the trace is
+/// the same as with one solve per step. tests/kinetic_differential_test
+/// checks every step against the test-only reference MST on both paths.
 ///
 /// Pass a workspace to reuse its buffers across multiple traces — e.g. a
 /// bench sweeping iterations serially — or leave it null for a per-call one.
@@ -138,23 +144,48 @@ MobileConnectivityTrace run_mobile_trace(std::size_t n, const Box<D>& box, std::
   std::vector<Point<D>>& positions = ws.positions;
   model.initialize(positions, rng);
 
-  const bool dense = EmstEngine<D>::dense_path(n);
-  const auto step_curve = [&] {
-    return dense ? LargestComponentCurve::from_prim_order(
-                       n, ws.kinetic.advance_prim_order(positions), ws.prim_order, ws.breakpoints)
-                 : LargestComponentCurve(n, ws.kinetic.advance(positions), ws.dsu, ws.breakpoints);
-  };
   std::vector<LargestComponentCurve> curves;
   curves.reserve(steps);
   ws.kinetic.begin(box);
-  curves.push_back(step_curve());
-  for (std::size_t s = 1; s < steps; ++s) {
+  std::size_t s = 0;  // the next step to solve; step 0 is the deployment
+  const auto advance = [&] {
+    if (s == 0) return;
     model.step(positions, rng);
     // Whatever the model did, the trace must stay inside the deployment
     // region: every downstream occupancy / connectivity argument assumes it.
     MANET_INVARIANT(std::all_of(positions.begin(), positions.end(),
                                 [&box](const Point<D>& p) { return box.contains(p); }));
-    curves.push_back(step_curve());
+  };
+  // Solves the next K dense steps in one Prim pass: all but the last are
+  // snapshots, the last is `positions` itself.
+  const auto solve_dense = [&]<std::size_t K>(std::array<std::span<const Point<D>>, K>& batch) {
+    for (std::size_t j = 0; j < K; ++j, ++s) {
+      advance();
+      if (j + 1 < K) {
+        ws.step_batch[j].assign(positions.begin(), positions.end());
+        batch[j] = ws.step_batch[j];
+      } else {
+        batch[j] = positions;
+      }
+    }
+    for (const std::span<const double> keys : ws.kinetic.advance_prim_order(batch)) {
+      curves.push_back(
+          LargestComponentCurve::from_prim_order(n, keys, ws.prim_order, ws.breakpoints));
+    }
+  };
+  if (EmstEngine<D>::dense_path(n)) {
+    std::array<std::span<const Point<D>>, EmstEngine<D>::kPrimBatch> group;
+    std::array<std::span<const Point<D>>, 1> single;
+    if (n < EmstEngine<D>::kPrimBatchCutoff) {
+      while (s + group.size() <= steps) solve_dense(group);
+    }
+    while (s < steps) solve_dense(single);
+  } else {
+    for (; s < steps; ++s) {
+      advance();
+      curves.push_back(
+          LargestComponentCurve(n, ws.kinetic.advance(positions), ws.dsu, ws.breakpoints));
+    }
   }
   return MobileConnectivityTrace(n, std::move(curves));
 }

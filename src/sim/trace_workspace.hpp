@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -25,9 +26,10 @@ struct CurveMergeEvent {
 /// union-find and curve per step.
 ///
 /// Reuse contract:
-///   - reused across calls: the engine's dense-Prim fringe and key buffer,
-///     cell grid, candidate-edge and tree buffers, the union-find, the
-///     Prim-order run scratch and the breakpoint scratch;
+///   - reused across calls: the engine's dense-Prim fringes and key buffer,
+///     the position snapshots of a batched dense solve, cell grid,
+///     candidate-edge and tree buffers, the union-find, the Prim-order run
+///     scratch and the breakpoint scratch;
 ///   - every step is a from-scratch EmstEngine solve that resets each value it
 ///     reads, so results never depend on prior steps or prior traces;
 ///   - threading: a workspace is single-threaded state. The parallel MTRM
@@ -51,6 +53,10 @@ struct TraceWorkspace {
   /// one n-point allocation per trace. Overwritten by every deployment, so
   /// no state leaks between traces.
   std::vector<Point<D>> positions;
+  /// The positions of all but the last step of one batched dense solve
+  /// (EmstEngine::kPrimBatch steps), copied from `positions` step by step;
+  /// the last step is solved in `positions` itself.
+  std::array<std::vector<Point<D>>, EmstEngine<D>::kPrimBatch - 1> step_batch;
 };
 
 }  // namespace manet

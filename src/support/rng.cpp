@@ -1,18 +1,11 @@
 #include "support/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/error.hpp"
 
 namespace manet {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
@@ -22,20 +15,6 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
 Xoshiro256StarStar::Xoshiro256StarStar(const std::array<std::uint64_t, 4>& state)
     : state_(state) {
   MANET_EXPECTS(state[0] != 0 || state[1] != 0 || state[2] != 0 || state[3] != 0);
-}
-
-Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-
-  return result;
 }
 
 void Xoshiro256StarStar::jump() noexcept {
@@ -57,18 +36,7 @@ void Xoshiro256StarStar::jump() noexcept {
 
 Rng::Rng(std::uint64_t seed) noexcept : engine_(seed) {}
 
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double a, double b) {
-  MANET_EXPECTS(a <= b);
-  if (a == b) return a;
-  const double x = a + (b - a) * uniform();
-  // Guard against floating-point rounding pushing the result to b.
-  return std::min(x, std::nextafter(b, a));
-}
+double Rng::uniform(double a, double b) { return UniformInterval(a, b)(*this); }
 
 std::size_t Rng::uniform_index(std::size_t n) {
   MANET_EXPECTS(n > 0);
@@ -80,13 +48,6 @@ std::size_t Rng::uniform_index(std::size_t n) {
   std::uint64_t draw = engine_();
   while (draw >= limit) draw = engine_();
   return static_cast<std::size_t>(draw % bound);
-}
-
-bool Rng::bernoulli(double p) {
-  MANET_EXPECTS(p >= 0.0 && p <= 1.0);
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal() {
@@ -114,7 +75,7 @@ double Rng::normal(double mean, double stddev) {
 Rng Rng::split() noexcept {
   // Derive the child seed from fresh draws so parent and child streams are
   // decorrelated; mixing through SplitMix64 happens in the Rng constructor.
-  const std::uint64_t child_seed = next_u64() ^ rotl(next_u64(), 32);
+  const std::uint64_t child_seed = next_u64() ^ std::rotl(next_u64(), 32);
   return Rng(child_seed);
 }
 

@@ -1,9 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+
+#include "support/error.hpp"
 
 namespace manet {
 
@@ -46,7 +51,19 @@ class Xoshiro256StarStar {
   /// zeros.
   explicit Xoshiro256StarStar(const std::array<std::uint64_t, 4>& state);
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+
+    return result;
+  }
 
   /// Advances the generator by 2^128 steps: partitions the stream into
   /// non-overlapping substreams for parallel / repeated use.
@@ -102,8 +119,8 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next_u64() noexcept { return engine_(); }
 
-  /// Uniform double in [0, 1), 53-bit resolution.
-  double uniform() noexcept;
+  /// Uniform double in [0, 1), 53-bit resolution: the 53 high bits, scaled.
+  double uniform() noexcept { return static_cast<double>(engine_() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [a, b). Requires a <= b; returns a when a == b.
   double uniform(double a, double b);
@@ -112,7 +129,12 @@ class Rng {
   std::size_t uniform_index(std::size_t n);
 
   /// True with probability p. Requires p in [0, 1].
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    MANET_EXPECTS(p >= 0.0 && p <= 1.0);
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Standard normal draw (mean 0, stddev 1) via the Marsaglia polar
   /// method. Consumes a rejection-dependent number of uniform draws from
@@ -138,6 +160,39 @@ class Rng {
 
  private:
   Xoshiro256StarStar engine_;
+};
+
+/// Draws in [a, b) exactly as Rng::uniform(a, b) makes them, with the cap
+/// below b (nextafter(b, a)) taken once instead of per draw: for loops
+/// that draw many times from one interval, such as a rejection sampler.
+class UniformInterval {
+ public:
+  UniformInterval() = default;
+
+  /// Requires a <= b.
+  UniformInterval(double a, double b) : a_(a), b_(b), below_b_(next_below(b, a)) {
+    MANET_EXPECTS(a <= b);
+  }
+
+  /// One draw from `rng`; a without a draw when a == b.
+  double operator()(Rng& rng) const noexcept {
+    if (a_ == b_) return a_;
+    // Guard against floating-point rounding pushing the result to b.
+    return std::min(a_ + (b_ - a_) * rng.uniform(), below_b_);
+  }
+
+ private:
+  /// std::nextafter(b, a). Above zero and a, the next double down is the
+  /// bit pattern one below (also from infinity to the largest finite), so
+  /// only other bounds pay the libm call.
+  static double next_below(double b, double a) noexcept {
+    if (b > 0.0 && b > a) return std::bit_cast<double>(std::bit_cast<std::uint64_t>(b) - 1);
+    return std::nextafter(b, a);
+  }
+
+  double a_ = 0.0;
+  double b_ = 0.0;
+  double below_b_ = 0.0;
 };
 
 /// The 64-bit seed of trial `trial_index`'s substream under root seed

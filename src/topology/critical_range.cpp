@@ -60,33 +60,32 @@ LargestComponentCurve LargestComponentCurve::from_prim_order(std::size_t n,
                                                              std::vector<Breakpoint>& scratch) {
   MANET_EXPECTS(prim_order_d2.size() + 1 == n || (n <= 1 && prim_order_d2.empty()));
   scratch.clear();
-  scratch.push_back({0.0, n == 0 ? std::size_t{0} : std::size_t{1}});
   if (n >= 2) {
-    // key_at_span[s]: the smallest key of a run spanning s nodes; after the
-    // suffix minimum, the smallest at which the largest component holds at
-    // least s nodes (nondecreasing in s, finite from s = 2 on: the last run
-    // spans all n).
+    // key_at_span[s]: the smallest key of a run spanning s nodes (infinite
+    // if none does; the last run spans all n).
     std::vector<double>& key_at_span = work.key_at_span;
     key_at_span.assign(n + 1, std::numeric_limits<double>::infinity());
     detail::for_each_prim_run(prim_order_d2, work.stack, [&](std::size_t span, double key) {
       key_at_span[span] = std::min(key_at_span[span], key);
     });
-    for (std::size_t s = n - 1; s >= 2; --s) {
-      key_at_span[s] = std::min(key_at_span[s], key_at_span[s + 1]);
-    }
-    // One breakpoint per distinct key, at the largest size it reaches; keys
-    // that cover to the same range share one, as equal weights do in
-    // build_from_sorted.
-    for (std::size_t s = 2; s <= n; ++s) {
-      if (s < n && key_at_span[s + 1] == key_at_span[s]) continue;
-      const double range = covering_radius(key_at_span[s]);
-      if (scratch.back().range == range) {
-        scratch.back().size = s;
-      } else {
-        scratch.push_back({range, s});
-      }
+    // Walking down from s = n, the running minimum of key_at_span[s..n] is
+    // the smallest key at which the largest component holds at least s
+    // nodes. Where it drops, s is the largest size its new value reaches:
+    // a breakpoint, emitted largest first, unless it covers to the range
+    // of the one above, which keeps the larger size (as equal weights share
+    // one in build_from_sorted).
+    double running = std::numeric_limits<double>::infinity();
+    for (std::size_t s = n; s >= 2; --s) {
+      if (!(key_at_span[s] < running)) continue;
+      running = key_at_span[s];
+      const double range = covering_radius(running);
+      if (scratch.empty() || scratch.back().range != range) scratch.push_back({range, s});
     }
   }
+  if (scratch.empty() || scratch.back().range != 0.0) {
+    scratch.push_back({0.0, n == 0 ? std::size_t{0} : std::size_t{1}});
+  }
+  std::reverse(scratch.begin(), scratch.end());
   check_step_function(n, scratch);
   LargestComponentCurve curve(n);
   // Exact-size copy: the single retained allocation of a mobility step.

@@ -49,7 +49,7 @@ double critical_range(std::span<const Point<D>> points, const Box<D>& box) {
       return tree_bottleneck(engine.euclidean(points, box));
     }
     // covering_radius is monotone, so it commutes with the max.
-    const auto keys = engine.prim_order_keys(points);
+    const auto keys = engine.template prim_order_keys<1>({points})[0];
     return covering_radius(keys.empty() ? 0.0 : *std::max_element(keys.begin(), keys.end()));
   }
 }

@@ -41,14 +41,16 @@ double EmstEngine<D>::initial_radius(std::size_t n, double side) {
 }
 
 template <int D>
-template <bool Torus, bool Parents>
-void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
+template <bool Torus, bool Parents, std::size_t K>
+void EmstEngine<D>::dense_prim(const std::array<std::span<const Point<D>>, K>& batch,
+                               double side) {
   static_assert(Parents || !Torus, "the torus always builds its tree");
-  const std::size_t n = points.size();
+  static_assert(K == 1 || (!Parents && K <= kPrimBatch), "a batch yields keys only");
+  const std::size_t n = batch[0].size();
   stats_.dense_fallback = true;
-  emst_metrics().dense.increment();
+  emst_metrics().dense.add(K);
 
-  // The fringe holds every vertex but the tree's first, vertex 0: its slot
+  // Each fringe holds every vertex but its tree's first, vertex 0: its slot
   // takes the last vertex, as every later removal does. The arrays are
   // padded to whole 4-slot blocks with inert slots (infinite coordinates and
   // key, so no relaxation ever lowers the key), which spares the kernel its
@@ -57,62 +59,76 @@ void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
   const std::size_t padded = whole_blocks(n);
   Point<D> inert{};
   inert.coords.fill(kInf);
-  fringe_.resize(padded);
-  for (std::size_t i = 0; i < padded; ++i) fringe_.set(i, i < n ? points[i] : inert);
-  fringe_best_.assign(padded, kInf);
-  if constexpr (Parents) {
-    fringe_from_.assign(padded, 0);
-    fringe_id_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) fringe_id_[i] = static_cast<std::uint32_t>(i);
+  std::array<Point<D>, K> added;
+  std::array<kernels::PrimFringe<D>, K> round;
+  for (std::size_t j = 0; j < K; ++j) {
+    const std::span<const Point<D>> points = batch[j];
+    Fringe& f = fringes_[j];
+    f.coords.resize(padded);
+    for (std::size_t i = 0; i < padded; ++i) f.coords.set(i, i < n ? points[i] : inert);
+    f.best.assign(padded, kInf);
+    if constexpr (Parents) {
+      f.from.assign(padded, 0);
+      f.id.resize(n);
+      for (std::size_t i = 0; i < n; ++i) f.id[i] = static_cast<std::uint32_t>(i);
+    }
+    added[j] = points[0];
+    // The buffers keep their addresses for the whole solve; only `current`
+    // and the point behind q change from round to round.
+    round[j] = {f.coords.axes(), added[j].coords.data(), f.best.data(), f.from.data(), 0};
   }
   std::size_t count = n;
-  const auto remove_slot = [&](std::size_t slot) {
-    --count;
-    fringe_.set(slot, fringe_.get(count));
-    fringe_best_[slot] = fringe_best_[count];
+  // Moves the last live slot of fringe j into `slot` and retires the last.
+  const auto remove_slot = [&](std::size_t j, std::size_t slot) {
+    Fringe& f = fringes_[j];
+    const std::size_t last = count - 1;
+    f.coords.set(slot, f.coords.get(last));
+    f.best[slot] = f.best[last];
     if constexpr (Parents) {
-      fringe_from_[slot] = fringe_from_[count];
-      fringe_id_[slot] = fringe_id_[count];
+      f.from[slot] = f.from[last];
+      f.id[slot] = f.id[last];
     }
-    fringe_.set(count, inert);
-    fringe_best_[count] = kInf;
+    f.coords.set(last, inert);
+    f.best[last] = kInf;
   };
-  remove_slot(0);
+  for (std::size_t j = 0; j < K; ++j) remove_slot(j, 0);
+  --count;
 
   if constexpr (Parents) {
     candidates_.resize(n - 1);
   } else {
-    prim_keys_.resize(n - 1);
+    prim_keys_.resize(K * (n - 1));
   }
-  Point<D> added = points[0];
-  std::uint32_t current = 0;
   double max_d2 = 0.0;
   for (std::size_t e = 0; e + 1 < n; ++e) {
-    double* best = fringe_best_.data();
     const std::size_t scanned = whole_blocks(count);
-    const kernels::PrimPick pick =
-        Torus ? kernels::torus_prim_relax_argmin<D>(fringe_.axes(), scanned, added.coords.data(),
-                                                     side, current, best, fringe_from_.data())
-              : kernels::prim_relax_argmin<D, Parents>(fringe_.axes(), scanned,
-                                                       added.coords.data(), current, best,
-                                                       fringe_from_.data());
-    std::size_t slot = pick.slot;
-    MANET_ENSURES(slot < count && best[slot] < kInf);
-    if constexpr (Parents) {
-      if (pick.tie) {
-        // Equal keys go to the smallest vertex id, as in mst_with_metric.
-        for (std::size_t k = 0; k < count; ++k) {
-          if (best[k] == best[slot] && fringe_id_[k] < fringe_id_[slot]) slot = k;
-        }
-      }
-      current = fringe_id_[slot];
-      candidates_[e] = {best[slot], fringe_from_[slot], current};
-      max_d2 = std::max(max_d2, best[slot]);
+    kernels::PrimPicks<K> picks;
+    if constexpr (Torus) {
+      picks[0] = kernels::torus_prim_relax_argmin<D>(round[0], scanned, side);
     } else {
-      prim_keys_[e] = best[slot];
+      picks = kernels::prim_relax_argmin<D, Parents, K>(round, scanned);
     }
-    added = fringe_.get(slot);
-    remove_slot(slot);
+    for (std::size_t j = 0; j < K; ++j) {
+      Fringe& f = fringes_[j];
+      std::size_t slot = picks[j].slot;
+      MANET_ENSURES(slot < count && f.best[slot] < kInf);
+      if constexpr (Parents) {
+        if (picks[j].tie) {
+          // Equal keys go to the smallest vertex id, as in mst_with_metric.
+          for (std::size_t k = 0; k < count; ++k) {
+            if (f.best[k] == f.best[slot] && f.id[k] < f.id[slot]) slot = k;
+          }
+        }
+        round[j].current = f.id[slot];
+        candidates_[e] = {f.best[slot], f.from[slot], round[j].current};
+        max_d2 = std::max(max_d2, f.best[slot]);
+      } else {
+        prim_keys_[j * (n - 1) + e] = f.best[slot];
+      }
+      added[j] = f.coords.get(slot);
+      remove_slot(j, slot);
+    }
+    --count;
   }
 
   if constexpr (Parents) {
@@ -143,7 +159,7 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
 
   if (Torus ? n < kTorusDenseCutoff : dense_path(n)) {
     // Below the cutoff the grid cannot prune enough pairs to pay for itself.
-    dense_prim<Torus, true>(points, side);
+    dense_prim<Torus, true, 1>({points}, side);
     return mst_;
   }
 
@@ -196,14 +212,24 @@ std::span<const WeightedEdge> EmstEngine<D>::euclidean(std::span<const Point<D>>
 }
 
 template <int D>
-std::span<const double> EmstEngine<D>::prim_order_keys(std::span<const Point<D>> points) {
-  MANET_EXPECTS(dense_path(points.size()));
+template <std::size_t K>
+std::array<std::span<const double>, K> EmstEngine<D>::prim_order_keys(
+    const std::array<std::span<const Point<D>>, K>& batch) {
+  const std::size_t n = batch[0].size();
+  MANET_EXPECTS(dense_path(n));
+  for (const std::span<const Point<D>> points : batch) MANET_EXPECTS(points.size() == n);
   stats_ = {};
   prim_keys_.clear();
-  if (points.size() <= 1) return prim_keys_;
-  emst_metrics().solves.increment();
-  dense_prim<false, false>(points, 0.0);
-  return prim_keys_;
+  if (n > 1) {
+    emst_metrics().solves.add(K);
+    dense_prim<false, false, K>(batch, 0.0);
+  }
+  const std::size_t per_set = n > 1 ? n - 1 : 0;
+  std::array<std::span<const double>, K> keys;
+  for (std::size_t j = 0; j < K; ++j) {
+    keys[j] = std::span<const double>(prim_keys_).subspan(j * per_set, per_set);
+  }
+  return keys;
 }
 
 template <int D>
@@ -265,5 +291,22 @@ double EmstEngine<D>::max_nearest_neighbor_range(std::span<const Point<D>> point
 template class EmstEngine<1>;
 template class EmstEngine<2>;
 template class EmstEngine<3>;
+
+// prim_order_keys takes one set (stationary solves, single trace steps) or a
+// trace's batch of kPrimBatch = 4.
+static_assert(EmstEngine<1>::kPrimBatch == 4 && EmstEngine<2>::kPrimBatch == 4 &&
+              EmstEngine<3>::kPrimBatch == 4);
+template std::array<std::span<const double>, 1> EmstEngine<1>::prim_order_keys(
+    const std::array<std::span<const Point<1>>, 1>&);
+template std::array<std::span<const double>, 1> EmstEngine<2>::prim_order_keys(
+    const std::array<std::span<const Point<2>>, 1>&);
+template std::array<std::span<const double>, 1> EmstEngine<3>::prim_order_keys(
+    const std::array<std::span<const Point<3>>, 1>&);
+template std::array<std::span<const double>, 4> EmstEngine<1>::prim_order_keys(
+    const std::array<std::span<const Point<1>>, 4>&);
+template std::array<std::span<const double>, 4> EmstEngine<2>::prim_order_keys(
+    const std::array<std::span<const Point<2>>, 4>&);
+template std::array<std::span<const double>, 4> EmstEngine<3>::prim_order_keys(
+    const std::array<std::span<const Point<3>>, 4>&);
 
 }  // namespace manet

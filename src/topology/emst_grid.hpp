@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -96,14 +97,38 @@ class EmstEngine {
   /// the next call on this engine.
   std::span<const WeightedEdge> euclidean(std::span<const Point<D>> points, const Box<D>& box);
 
-  /// The keys of a dense Prim from vertex 0 without its tree: the n-1
-  /// squared edge lengths in the order Prim adds their far ends (empty for
-  /// n <= 1), valid until the next call. The round keeps no parents and
-  /// breaks key ties by slot, not by vertex id, so the order may differ from
-  /// the one behind `euclidean`'s tree. The largest key is the bottleneck,
-  /// and LargestComponentCurve::from_prim_order builds the component curve
-  /// from the order. Requires dense_path(n).
-  std::span<const double> prim_order_keys(std::span<const Point<D>> points);
+  /// The keys of dense Prims from vertex 0 without their trees, for K point
+  /// sets of one size n: entry j holds batch[j]'s n-1 squared edge lengths
+  /// in the order Prim adds their far ends (empty for n <= 1), valid until
+  /// the next call. The round keeps no parents and breaks key ties by slot,
+  /// not by vertex id, so the order may differ from the one behind
+  /// `euclidean`'s tree. The largest key is the bottleneck, and
+  /// LargestComponentCurve::from_prim_order builds the component curve from
+  /// the order. The K sets share one K-fringe round per vertex, and each
+  /// gets the keys of a solve of its own, bit for bit. K is 1 or kPrimBatch.
+  /// Requires dense_path(n).
+  template <std::size_t K>
+  std::array<std::span<const double>, K> prim_order_keys(
+      const std::array<std::span<const Point<D>>, K>& batch);
+
+  /// Point sets per batched prim_order_keys call on a mobile trace. One
+  /// round serves every set of the batch in one loop, so their per-round
+  /// chains (argmin, next query, relax) overlap. µs per solve at n =
+  /// 16/32/64/128 on paper waypoint traces in D = 2 (DESIGN.md §10 item 5):
+  /// one per call 0.37/0.77/1.73/4.49, 2 per call 0.21/0.50/1.30/3.64, 4 per
+  /// call 0.15/0.35/0.94/2.99, 8 per call 0.15/0.41/1.16/3.86 (its lanes and
+  /// query points outgrow the 16 AVX2 registers). Larger n: kPrimBatchCutoff.
+  static constexpr std::size_t kPrimBatch = 4;
+
+  /// n below which a trace batches its dense steps, per D. The gain of four
+  /// per call shrinks with n, as the fixed per-round chain matters less and
+  /// the four fringes outgrow the L1 data cache; in D = 3 it turns into a
+  /// loss. µs per solve, one per call / four per call, on paper waypoint
+  /// traces (DESIGN.md §10 item 5, median of 3 runs): D = 1 4.00 / 2.29 at
+  /// n = 128 and 98.7 / 84.5 at 896; D = 2 4.51 / 3.11 at 128, 43.2 / 41.9 at
+  /// 512 and 123.1 / 123.0 at 896; D = 3 5.34 / 3.95 at 128, 31.8 / 30.8 at
+  /// 384, 54.9 / 58.0 at 512 and 157.2 / 173.0 at 896 (n = 448 broke even).
+  static constexpr std::size_t kPrimBatchCutoff = D == 3 ? 448 : kDenseCutoff;
 
   /// MST under the flat-torus metric on [0, side]^D (geometry/torus.hpp).
   /// Same contract as `euclidean`; wrap-aware neighbor cells keep the grid
@@ -124,10 +149,12 @@ class EmstEngine {
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
-  /// Prim over the padded SoA fringe. With parents it fills mst_ in
-  /// (d2, u, v) order; without, prim_keys_ in Prim order.
-  template <bool Torus, bool Parents>
-  void dense_prim(std::span<const Point<D>> points, double side);
+  /// Prim over the padded SoA fringes of K point sets of one size, in one
+  /// K-fringe round per vertex. With parents (K = 1) it fills mst_ in
+  /// (d2, u, v) order; without, prim_keys_ with each set's keys in Prim
+  /// order, set j at offset j * (n - 1).
+  template <bool Torus, bool Parents, std::size_t K>
+  void dense_prim(const std::array<std::span<const Point<D>>, K>& batch, double side);
 
   /// Starting radius of the doubling search: the connectivity threshold
   /// scale l * (log n / n)^(1/D) of random geometric graphs.
@@ -139,14 +166,17 @@ class EmstEngine {
   std::vector<WeightedEdge> mst_;
   std::vector<double> prim_keys_;
   std::vector<double> nn2_;
-  // Dense-path fringe, compacted into slots [0, count): coordinates, best
+  // A dense-path fringe, compacted into slots [0, count): coordinates, best
   // squared distance to the tree, and with parents the tree vertex at that
   // distance and the vertex id (pooled so the dense path is allocation-free
-  // too).
-  PointStore<D> fringe_;
-  std::vector<double> fringe_best_;
-  std::vector<std::uint32_t> fringe_from_;
-  std::vector<std::uint32_t> fringe_id_;
+  // too). A batch uses the first K.
+  struct Fringe {
+    PointStore<D> coords;
+    std::vector<double> best;
+    std::vector<std::uint32_t> from;
+    std::vector<std::uint32_t> id;
+  };
+  std::array<Fringe, kPrimBatch> fringes_;
   EmstGridStats stats_;
 };
 

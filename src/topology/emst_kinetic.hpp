@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 
@@ -60,11 +61,14 @@ class KineticEmstEngine {
     return tree;
   }
 
-  /// Solves the next step on the dense path without its tree: the squared
-  /// Prim-order keys of EmstEngine::prim_order_keys, valid until the next
-  /// call. Requires EmstEngine<D>::dense_path(n).
-  std::span<const double> advance_prim_order(std::span<const Point<D>> points) {
-    const auto keys = engine_.prim_order_keys(points);
+  /// Solves the next K steps on the dense path without their trees: entry j
+  /// holds the squared Prim-order keys of batch[j] (EmstEngine's
+  /// prim_order_keys), valid until the next call. Requires
+  /// EmstEngine<D>::dense_path(n).
+  template <std::size_t K>
+  std::array<std::span<const double>, K> advance_prim_order(
+      const std::array<std::span<const Point<D>>, K>& batch) {
+    const auto keys = engine_.prim_order_keys(batch);
     stats_.dense_mode = true;
     stats_.candidate_edges = 0;
     return keys;

@@ -328,7 +328,7 @@ void check_prim_order_curves() {
     for (std::size_t input = 0; input < inputs.size(); ++input) {
       SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n << " input=" << input);
       const auto& points = inputs[input];
-      const auto keys = engine.prim_order_keys(points);
+      const auto keys = engine.template prim_order_keys<1>({points})[0];
       ASSERT_EQ(keys.size(), n > 0 ? n - 1 : 0);
       const auto curve = LargestComponentCurve::from_prim_order(n, keys, work, scratch);
       const auto reference_tree = euclidean_mst<D>(points);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -189,68 +190,103 @@ kernels::PrimPick reference_prim_round(const PointStore<D>& fringe, std::size_t 
   return pick;
 }
 
-/// Kernel state of one form under test.
+/// Kernel state of one fringe under one form.
 struct PrimState {
   std::vector<double> best;
   std::vector<std::uint32_t> from;
 };
 
-/// Runs `rounds` successive Prim rounds over `fringe` through the reference,
-/// the portable form and (when the CPU has it) the AVX2 form, each on its
-/// own copy of best/from, and requires bit-equal keys, equal `from` ids and
-/// equal picks after every round. The parent-less instantiations run too,
-/// with no `from` at all: the same keys and slot, and no tie flag. Returns
-/// the reference picks.
-template <int D>
-std::vector<kernels::PrimPick> check_prim_rounds(const PointStore<D>& fringe, std::size_t count,
-                                                 const std::vector<Point<D>>& queries,
-                                                 const std::vector<double>& initial_best) {
-  PrimState reference{initial_best, std::vector<std::uint32_t>(count, 0)};
-  PrimState portable = reference;
-  PrimState avx2 = reference;
-  std::vector<double> portable_keys = initial_best;
-  std::vector<double> avx2_keys = initial_best;
-  std::vector<kernels::PrimPick> picks;
-  for (std::size_t r = 0; r < queries.size(); ++r) {
-    const auto current = static_cast<std::uint32_t>(1000 + r);
-    const double* q = queries[r].coords.data();
-    const kernels::PrimPick expected = reference_prim_round<D>(
-        fringe, count, queries[r], current, reference.best, reference.from);
-    picks.push_back(expected);
-    const kernels::PrimPick got = kernels::prim_relax_argmin_portable<D>(
-        fringe.axes(), count, q, current, portable.best.data(), portable.from.data());
-    EXPECT_EQ(got.slot, expected.slot) << "portable, D=" << D << " count=" << count;
-    EXPECT_EQ(got.tie, expected.tie) << "portable, D=" << D << " count=" << count;
-    const kernels::PrimPick keys_only = kernels::prim_relax_argmin_portable<D, false>(
-        fringe.axes(), count, q, current, portable_keys.data(), nullptr);
-    EXPECT_EQ(keys_only.slot, expected.slot) << "portable keys, D=" << D << " count=" << count;
-    EXPECT_FALSE(keys_only.tie) << "portable keys, D=" << D << " count=" << count;
+/// K fringes of one count, each with its own query per round
+/// (queries[r][j] is fringe j's in round r) and its own initial keys.
+template <int D, std::size_t K>
+struct PrimRounds {
+  std::array<PointStore<D>, K> fringes;
+  std::vector<std::array<Point<D>, K>> queries;
+  std::array<std::vector<double>, K> initial_best;
+};
+
+/// One K-fringe round through the portable or the AVX2 form.
+template <int D, bool Parents, std::size_t K>
+kernels::PrimPicks<K> run_prim_form(bool avx2, const std::array<kernels::PrimFringe<D>, K>& round,
+                                    std::size_t count) {
 #if MANET_KERNELS_X86
-    if (kernels::cpu_has_avx2()) {
-      const kernels::PrimPick lanes = kernels::prim_relax_argmin_avx2<D>(
-          fringe.axes(), count, q, current, avx2.best.data(), avx2.from.data());
-      EXPECT_EQ(lanes.slot, expected.slot) << "avx2, D=" << D << " count=" << count;
-      EXPECT_EQ(lanes.tie, expected.tie) << "avx2, D=" << D << " count=" << count;
-      const kernels::PrimPick lane_keys = kernels::prim_relax_argmin_avx2<D, false>(
-          fringe.axes(), count, q, current, avx2_keys.data(), nullptr);
-      EXPECT_EQ(lane_keys.slot, expected.slot) << "avx2 keys, D=" << D << " count=" << count;
-      EXPECT_FALSE(lane_keys.tie) << "avx2 keys, D=" << D << " count=" << count;
+  if (avx2) return kernels::prim_relax_argmin_avx2<D, Parents>(round, count);
+#endif
+  EXPECT_FALSE(avx2);
+  return kernels::prim_relax_argmin_portable<D, Parents>(round, count);
+}
+
+/// Runs every round of `c` through the reference, one scalar round per
+/// fringe, and through each K-fringe form: portable and (when the CPU has
+/// it) AVX2, with parents and without (no `from` at all), each on its own
+/// copy of best/from. After every round each fringe's keys must be
+/// bit-equal, its `from` ids equal (with parents) and its pick equal to the
+/// reference's; the parent-less forms report no tie. Returns the reference
+/// picks, round by round.
+template <int D, std::size_t K>
+std::vector<kernels::PrimPicks<K>> check_prim_rounds(const PrimRounds<D, K>& c,
+                                                     std::size_t count) {
+  struct Form {
+    const char* name;
+    bool parents;
+    bool avx2;
+    std::array<PrimState, K> state;
+  };
+  std::array<PrimState, K> reference;
+  for (std::size_t j = 0; j < K; ++j) {
+    reference[j] = {c.initial_best[j], std::vector<std::uint32_t>(count, 0)};
+  }
+  std::vector<Form> forms = {{"portable", true, false, reference},
+                             {"portable keys", false, false, reference}};
+#if MANET_KERNELS_X86
+  if (kernels::cpu_has_avx2()) {
+    forms.push_back({"avx2", true, true, reference});
+    forms.push_back({"avx2 keys", false, true, reference});
+  }
+#endif
+  std::vector<kernels::PrimPicks<K>> picks;
+  for (std::size_t r = 0; r < c.queries.size(); ++r) {
+    const auto current = [r](std::size_t j) { return static_cast<std::uint32_t>(1000 + 10 * r + j); };
+    kernels::PrimPicks<K> expected;
+    for (std::size_t j = 0; j < K; ++j) {
+      expected[j] = reference_prim_round<D>(c.fringes[j], count, c.queries[r][j], current(j),
+                                            reference[j].best, reference[j].from);
     }
-#endif
-    for (std::size_t k = 0; k < count; ++k) {
-      EXPECT_TRUE(bits_equal(portable.best[k], reference.best[k])) << "k=" << k;
-      EXPECT_EQ(portable.from[k], reference.from[k]) << "k=" << k;
-      EXPECT_TRUE(bits_equal(portable_keys[k], reference.best[k])) << "keys k=" << k;
-#if MANET_KERNELS_X86
-      if (kernels::cpu_has_avx2()) {
-        EXPECT_TRUE(bits_equal(avx2.best[k], reference.best[k])) << "avx2 k=" << k;
-        EXPECT_EQ(avx2.from[k], reference.from[k]) << "avx2 k=" << k;
-        EXPECT_TRUE(bits_equal(avx2_keys[k], reference.best[k])) << "avx2 keys k=" << k;
+    picks.push_back(expected);
+    for (Form& form : forms) {
+      std::array<kernels::PrimFringe<D>, K> round;
+      for (std::size_t j = 0; j < K; ++j) {
+        round[j] = {c.fringes[j].axes(), c.queries[r][j].coords.data(),
+                    form.state[j].best.data(),
+                    form.parents ? form.state[j].from.data() : nullptr, current(j)};
       }
-#endif
+      const kernels::PrimPicks<K> got =
+          form.parents ? run_prim_form<D, true>(form.avx2, round, count)
+                       : run_prim_form<D, false>(form.avx2, round, count);
+      for (std::size_t j = 0; j < K; ++j) {
+        SCOPED_TRACE(::testing::Message() << form.name << ", D=" << D << " K=" << K
+                                          << " count=" << count << " round " << r
+                                          << " fringe " << j);
+        EXPECT_EQ(got[j].slot, expected[j].slot);
+        EXPECT_EQ(got[j].tie, form.parents && expected[j].tie);
+        for (std::size_t k = 0; k < count; ++k) {
+          EXPECT_TRUE(bits_equal(form.state[j].best[k], reference[j].best[k])) << "k=" << k;
+          if (form.parents) {
+            EXPECT_EQ(form.state[j].from[k], reference[j].from[k]) << "k=" << k;
+          }
+        }
+      }
     }
   }
   return picks;
+}
+
+/// A point with every coordinate drawn from `draw`.
+template <int D, class Draw>
+Point<D> point_of(Draw&& draw) {
+  Point<D> p;
+  for (int i = 0; i < D; ++i) p.coords[static_cast<std::size_t>(i)] = draw();
+  return p;
 }
 
 /// Counts covering the sub-vector, one-block, two-block and tail cases, and
@@ -265,35 +301,25 @@ void check_prim_relax_argmin() {
     // Random coordinates, fresh keys, several rounds: later rounds relax
     // only some slots.
     {
-      const PointStore<D> fringe = random_store<D>(count, -5.0, 5.0, rng);
-      std::vector<Point<D>> queries(6);
-      for (auto& q : queries) {
-        for (int i = 0; i < D; ++i) q.coords[static_cast<std::size_t>(i)] = rng.uniform(-5, 5);
-      }
-      check_prim_rounds<D>(fringe, count, queries, std::vector<double>(count, inf));
+      PrimRounds<D, 1> c{{random_store<D>(count, -5.0, 5.0, rng)}, {}, {}};
+      for (int r = 0; r < 6; ++r) c.queries.push_back({point_of<D>([&] { return rng.uniform(-5, 5); })});
+      c.initial_best[0].assign(count, inf);
+      check_prim_rounds(c, count);
     }
     // A small integer lattice: many equal keys inside a lane, across lanes
     // and between the two lane sets, and relaxations that tie the old key
     // (which must keep the old `from`).
     {
-      PointStore<D> fringe;
-      fringe.resize(count);
+      const auto lattice = [&] { return static_cast<double>(rng.next_u64() % 3); };
+      PrimRounds<D, 1> c;
+      c.fringes[0].resize(count);
+      for (std::size_t k = 0; k < count; ++k) c.fringes[0].set(k, point_of<D>(lattice));
+      for (int r = 0; r < 6; ++r) c.queries.push_back({point_of<D>(lattice)});
       for (std::size_t k = 0; k < count; ++k) {
-        Point<D> p;
-        for (int i = 0; i < D; ++i) {
-          p.coords[static_cast<std::size_t>(i)] = static_cast<double>(rng.next_u64() % 3);
-        }
-        fringe.set(k, p);
+        c.initial_best[0].push_back(rng.bernoulli(0.5) ? inf
+                                                       : static_cast<double>(rng.next_u64() % 4));
       }
-      std::vector<Point<D>> queries(6);
-      for (auto& q : queries) {
-        for (int i = 0; i < D; ++i) {
-          q.coords[static_cast<std::size_t>(i)] = static_cast<double>(rng.next_u64() % 3);
-        }
-      }
-      std::vector<double> initial(count);
-      for (double& b : initial) b = rng.bernoulli(0.5) ? inf : static_cast<double>(rng.next_u64() % 4);
-      check_prim_rounds<D>(fringe, count, queries, initial);
+      check_prim_rounds(c, count);
     }
   }
 }
@@ -301,6 +327,56 @@ void check_prim_relax_argmin() {
 TEST(PrimRelaxArgmin, FormsMatchTheScalarRound1D) { check_prim_relax_argmin<1>(); }
 TEST(PrimRelaxArgmin, FormsMatchTheScalarRound2D) { check_prim_relax_argmin<2>(); }
 TEST(PrimRelaxArgmin, FormsMatchTheScalarRound3D) { check_prim_relax_argmin<3>(); }
+
+/// Fringe j of a K-fringe case: uniform, coincident pairs, collinear at
+/// equal gaps or all equal, by `(j + variant) % 4`, so every kind meets
+/// every position in the batch. The queries follow the kind: the shared
+/// point for all-equal sets (every key 0), a point on the line for
+/// collinear ones, else a uniform point.
+template <int D, std::size_t K>
+PrimRounds<D, K> mixed_prim_rounds(std::size_t count, std::size_t variant, Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto uniform = [&] { return rng.uniform(0.0, 8.0); };
+  PrimRounds<D, K> c;
+  c.queries.resize(5);
+  for (std::size_t j = 0; j < K; ++j) {
+    const std::size_t kind = (j + variant) % 4;
+    PointStore<D>& fringe = c.fringes[j];
+    fringe.resize(count);
+    const Point<D> anchor = point_of<D>(uniform);
+    for (std::size_t k = 0; k < count; ++k) {
+      Point<D> p = anchor;
+      if (kind == 0 || (kind == 1 && k % 2 == 0)) p = point_of<D>(uniform);
+      if (kind == 1 && k % 2 == 1) p = fringe.get(k - 1);
+      if (kind == 2) p.coords[0] = 0.5 * static_cast<double>(k);
+      fringe.set(k, p);
+    }
+    for (auto& round : c.queries) {
+      round[j] = kind == 3 ? anchor : point_of<D>(uniform);
+      if (kind == 2) {
+        round[j] = anchor;
+        round[j].coords[0] = 0.5 * static_cast<double>(rng.next_u64() % (count + 1));
+      }
+    }
+    c.initial_best[j].assign(count, inf);
+  }
+  return c;
+}
+
+template <int D>
+void check_k_fringe_rounds() {
+  Rng rng(4545u + static_cast<std::uint64_t>(D));
+  for (const std::size_t count : {2, 3, 4, 5, 16, 127, 128, 896}) {
+    for (std::size_t variant = 0; variant < 4; ++variant) {
+      check_prim_rounds(mixed_prim_rounds<D, 2>(count, variant, rng), count);
+      check_prim_rounds(mixed_prim_rounds<D, 4>(count, variant, rng), count);
+    }
+  }
+}
+
+TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds1D) { check_k_fringe_rounds<1>(); }
+TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds2D) { check_k_fringe_rounds<2>(); }
+TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds3D) { check_k_fringe_rounds<3>(); }
 
 TEST(PrimRelaxArgmin, TiesPickTheLowestSlotAndAreReported) {
   // Every slot at squared distance 100 from the origin except the slots in
@@ -313,14 +389,15 @@ TEST(PrimRelaxArgmin, TiesPickTheLowestSlotAndAreReported) {
       {0}, {5}, {126}, {0, 8}, {3, 11}, {1, 2}, {2, 6}, {9, 1}, {120, 124}, {126, 125}, {7, 126}};
   for (const std::size_t count : {std::size_t{127}, std::size_t{128}}) {
     for (const auto& near : cases) {
-      PointStore<2> fringe;
-      fringe.resize(count);
-      for (std::size_t k = 0; k < count; ++k) fringe.set(k, Point2{{6.0, 8.0}});
-      for (const std::size_t k : near) fringe.set(k, Point2{{0.0, 1.0}});
-      const auto picks = check_prim_rounds<2>(fringe, count, {origin},
-                                              std::vector<double>(count, inf));
-      EXPECT_EQ(picks[0].slot, *std::min_element(near.begin(), near.end()));
-      EXPECT_EQ(picks[0].tie, near.size() > 1);
+      PrimRounds<2, 1> c;
+      c.fringes[0].resize(count);
+      for (std::size_t k = 0; k < count; ++k) c.fringes[0].set(k, Point2{{6.0, 8.0}});
+      for (const std::size_t k : near) c.fringes[0].set(k, Point2{{0.0, 1.0}});
+      c.queries.push_back({origin});
+      c.initial_best[0].assign(count, inf);
+      const auto picks = check_prim_rounds(c, count);
+      EXPECT_EQ(picks[0][0].slot, *std::min_element(near.begin(), near.end()));
+      EXPECT_EQ(picks[0][0].tie, near.size() > 1);
     }
   }
 }
@@ -335,7 +412,7 @@ TEST(PrimRelaxArgmin, TorusRoundMatchesTheTorusScalarCore) {
     std::vector<std::uint32_t> from(count, 0);
     const Point2 q{{rng.uniform(0.0, side), rng.uniform(0.0, side)}};
     const kernels::PrimPick pick = kernels::torus_prim_relax_argmin<2>(
-        fringe.axes(), count, q.coords.data(), side, 7, best.data(), from.data());
+        {fringe.axes(), q.coords.data(), best.data(), from.data(), 7}, count, side);
     std::size_t expected = 0;
     for (std::size_t k = 0; k < count; ++k) {
       const double d2 = torus_squared_distance(fringe.get(k), q, side);

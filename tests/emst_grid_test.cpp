@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.hpp"
@@ -431,6 +436,65 @@ TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff3D) { check_torus_cutoff<3>(); 
 TEST(EmstDense, TreeEqualsReferenceEdgeForEdge1D) { check_dense_trees_match_reference<1>(); }
 TEST(EmstDense, TreeEqualsReferenceEdgeForEdge2D) { check_dense_trees_match_reference<2>(); }
 TEST(EmstDense, TreeEqualsReferenceEdgeForEdge3D) { check_dense_trees_match_reference<3>(); }
+
+/// Point set `kind` of n points in [0, side]^D: uniform, coincident pairs,
+/// collinear at equal gaps (shuffled), or all equal.
+template <int D>
+std::vector<Point<D>> dense_batch_input(std::size_t kind, std::size_t n, double side, Rng& rng) {
+  const Box<D> box(side);
+  if (kind == 0) return uniform_deployment(n, box, rng);
+  if (kind == 1) {
+    std::vector<Point<D>> pairs = uniform_deployment((n + 1) / 2, box, rng);
+    pairs.insert(pairs.end(), pairs.begin(), pairs.end());
+    pairs.resize(n);
+    return pairs;
+  }
+  std::vector<Point<D>> points(n, uniform_deployment(1, box, rng)[0]);
+  if (kind == 2) {
+    // A gap of 1/16 keeps every coordinate exact, so all gaps are equal.
+    for (std::size_t i = 0; i < n; ++i) points[i].coords[0] = static_cast<double>(i) / 16.0;
+    for (std::size_t i = n; i > 1; --i) std::swap(points[i - 1], points[rng.next_u64() % i]);
+  }
+  return points;
+}
+
+/// The batched prim_order_keys must give each point set of the batch the
+/// keys of a prim_order_keys call of its own, bit for bit, whichever kinds
+/// of set share the batch.
+template <int D>
+void check_batched_prim_order_keys() {
+  constexpr std::size_t kBatch = EmstEngine<D>::kPrimBatch;
+  Rng rng(0xBA7C4u + static_cast<unsigned>(D));
+  EmstEngine<D> batched;
+  EmstEngine<D> single;
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 16u, 127u, 128u, 896u}) {
+    ASSERT_TRUE(EmstEngine<D>::dense_path(n));
+    for (std::size_t rotation = 0; rotation < 4; ++rotation) {
+      std::array<std::vector<Point<D>>, kBatch> sets;
+      std::array<std::span<const Point<D>>, kBatch> batch;
+      for (std::size_t j = 0; j < kBatch; ++j) {
+        sets[j] = dense_batch_input<D>((j + rotation) % 4, n, 100.0, rng);
+        batch[j] = sets[j];
+      }
+      const auto keys = batched.prim_order_keys(batch);
+      for (std::size_t j = 0; j < kBatch; ++j) {
+        SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n << " rotation=" << rotation
+                                          << " set=" << j);
+        const auto expected = single.template prim_order_keys<1>({batch[j]})[0];
+        ASSERT_EQ(keys[j].size(), expected.size());
+        for (std::size_t e = 0; e < expected.size(); ++e) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(keys[j][e]),
+                    std::bit_cast<std::uint64_t>(expected[e]))
+              << "key " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(EmstDense, BatchedPrimOrderKeysEqualSingleSolves1D) { check_batched_prim_order_keys<1>(); }
+TEST(EmstDense, BatchedPrimOrderKeysEqualSingleSolves2D) { check_batched_prim_order_keys<2>(); }
+TEST(EmstDense, BatchedPrimOrderKeysEqualSingleSolves3D) { check_batched_prim_order_keys<3>(); }
 
 template <int D>
 double brute_force_isolation(const std::vector<Point<D>>& points) {

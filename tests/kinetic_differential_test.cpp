@@ -363,6 +363,27 @@ TEST(KineticDifferential, RunMobileTraceMatchesPerStepBatchReference) {
   check_trace_matches_reference<2>(20, 64.0, fast_drunkard(64.0), 60, 64);
 }
 
+TEST(RunMobileTrace, BatchedDenseStepsMatchPerStepReferenceAtEveryTailLength) {
+  // Dense steps are solved EmstEngine::kPrimBatch at a time and the last
+  // steps one by one, so these step counts leave every tail length.
+  static_assert(EmstEngine<2>::kPrimBatch == 4);
+  for (const std::size_t steps : {1u, 2u, 3u, 4u, 5u, 9u}) {
+    SCOPED_TRACE(::testing::Message() << "steps=" << steps);
+    check_trace_matches_reference<1>(40, 64.0, fast_waypoint(64.0), steps, 70 + steps);
+    check_trace_matches_reference<2>(64, 96.0, fast_drunkard(96.0), steps, 80 + steps);
+    check_trace_matches_reference<2>(128, 16384.0, MobilityConfig::paper_waypoint(16384.0), steps,
+                                     90 + steps);
+    check_trace_matches_reference<3>(33, 32.0, fast_waypoint(32.0), steps, 100 + steps);
+  }
+  // Both sides of the 3-D batch cutoff: batched just below it, one step per
+  // solve from it on.
+  static_assert(EmstEngine<3>::kPrimBatchCutoff < kCutoff);
+  for (const std::size_t n :
+       {EmstEngine<3>::kPrimBatchCutoff - 1, EmstEngine<3>::kPrimBatchCutoff}) {
+    check_trace_matches_reference<3>(n, 32.0, fast_drunkard(32.0), 6, 110 + n);
+  }
+}
+
 std::uint64_t mtrm_checksum(const MtrmConfig& config, std::uint64_t seed) {
   Rng rng(seed);
   return fnv1a_bits(flatten_mtrm_result(solve_mtrm<2>(config, rng)));

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -74,6 +80,31 @@ TEST(Rng, UniformRangeDegenerateIntervalReturnsEndpoint) {
 TEST(Rng, UniformRangeRejectsInvertedBounds) {
   Rng rng(3);
   EXPECT_THROW(rng.uniform(1.0, 0.0), ContractViolation);
+}
+
+TEST(Rng, UniformIntervalDrawsAsTheNextafterCappedFormula) {
+  // Rng::uniform(a, b)'s definition, with the libm cap taken per draw; the
+  // intervals put b above, at and below zero, at a subnormal and at
+  // infinity, and one is a single ulp wide, so half its draws hit the cap.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::pair<double, double>> intervals = {
+      {0.0, 1.0},   {1.0, std::nextafter(1.0, 2.0)}, {-1.0, -0.5}, {-1.0, 0.0}, {-tiny, 0.0},
+      {0.0, tiny},  {2.5, 2.5},                      {0.0, inf},   {1e308, inf}, {-3.0, 1e-310}};
+  for (const auto& [a, b] : intervals) {
+    Rng rng(11);
+    Rng reference(11);
+    const UniformInterval draw(a, b);
+    for (int i = 0; i < 1000; ++i) {
+      const double expected =
+          a == b ? a : std::min(a + (b - a) * reference.uniform(), std::nextafter(b, a));
+      const double got = draw(rng);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected))
+          << "[" << a << ", " << b << ") draw " << i;
+    }
+    EXPECT_EQ(rng.next_u64(), reference.next_u64()) << "[" << a << ", " << b << ")";
+  }
+  EXPECT_THROW(UniformInterval(1.0, 0.0), ContractViolation);
 }
 
 TEST(Rng, UniformMeanIsCentered) {
