@@ -217,20 +217,19 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 }
 
 // ---------------------------------------------------------------------------
-// Dense Prim round (topology/emst_grid.cpp's dense path). A fringe — the
+// Dense Prim round (topology/emst_grid.cpp's prim_order_keys). A fringe — the
 // vertices not yet in the tree — is compacted into slots [0, count): SoA
-// coordinates, the best squared distance to the tree so far (`best`), and
-// the tree vertex achieving it (`from`). One round relaxes every slot against
-// the vertex `current` just added at q and picks the next vertex:
+// coordinates and the best squared distance to the tree so far (`best`). One
+// round relaxes every slot against the vertex just added at q and picks the
+// next vertex:
 //
 //   d2 = squared distance (scalar core's per-axis order, no FMA)
-//   if (d2 < best[k]) { best[k] = d2; from[k] = current; }   (a blend)
-//   pick = the slot with the smallest updated best[k]
+//   best[k] = d2 < best[k] ? d2 : best[k]
+//   pick = the lowest slot holding the smallest updated best[k]
 //
-// Ties on the key resolve to the lowest slot, and `tie` reports that
-// another slot holds the same key, so the caller can apply its own
-// tie rule (the smallest vertex id) with a scalar re-scan only then. Both
-// fields are specified when some key is finite.
+// The pick is `count` when no key is finite. The round keeps no parents:
+// its callers need only the keys in the order Prim adds their vertices (the
+// tree's weights), and every tree comes from the grid path.
 //
 // A round serves K independent fringes (PrimFringe) of the same count in one
 // loop: each block of slots is relaxed for fringe 0, 1, ..., K-1 in turn, and
@@ -238,99 +237,60 @@ inline void batch_masked_advance(const MutableAxisPointers<D>& pos, const AxisPo
 // overlaps their per-round chains (argmin, next query, broadcast, relax),
 // and each fringe's outcome is exactly that of a round of its own. K = 1 is
 // a single solve.
-//
-// Every form takes a compile-time `Parents` flag. Without parents the round
-// neither writes `from` (which may be null) nor reads `current`, and leaves
-// `tie` false; `best` and the pick (the lowest slot at the smallest key) are
-// the same as with parents. A caller that needs only the keys in the order
-// Prim adds their vertices (topology/emst_grid.hpp's prim_order_keys) runs
-// it so.
 // ---------------------------------------------------------------------------
 
 /// One fringe of a dense Prim round and the vertex just added to its tree.
 template <int D>
 struct PrimFringe {
-  AxisPointers<D> axes;           ///< coordinates of the slots
-  const double* q;                ///< coordinates of the vertex just added
-  double* best;                   ///< the key of each slot, relaxed in place
-  std::uint32_t* from = nullptr;  ///< the parent of each slot (with parents only)
-  std::uint32_t current = 0;      ///< the id of the vertex at q (with parents only)
+  AxisPointers<D> axes;  ///< coordinates of the slots
+  const double* q;       ///< coordinates of the vertex just added
+  double* best;          ///< the key of each slot, relaxed in place
 };
 
-/// Outcome of one dense Prim round on one fringe.
-struct PrimPick {
-  std::size_t slot;  ///< lowest slot holding the smallest key (count if none is finite)
-  bool tie;          ///< another slot holds the same key
-};
-
-/// One pick per fringe of a K-fringe round.
+/// One pick per fringe of a K-fringe round: the lowest slot holding the
+/// smallest key (count if none is finite).
 template <std::size_t K>
-using PrimPicks = std::array<PrimPick, K>;
+using PrimPicks = std::array<std::size_t, K>;
 
 namespace detail {
 
 /// The scalar relax + argmin over slots [begin, end) of every fringe, slot
 /// by slot, folded into each fringe's pick, whose current smallest key is
-/// keys[j]. Torus selects the flat-torus metric on [0, side]^D (the torus
-/// scalar core's per-axis sequence).
-template <int D, bool Torus, bool Parents, std::size_t K>
+/// keys[j].
+template <int D, std::size_t K>
 void prim_relax_fold(const std::array<PrimFringe<D>, K>& fringes, std::size_t begin,
-                     std::size_t end, [[maybe_unused]] double side, PrimPicks<K>& picks,
-                     std::array<double, K>& keys) noexcept {
+                     std::size_t end, PrimPicks<K>& picks, std::array<double, K>& keys) noexcept {
   for (std::size_t k = begin; k < end; ++k) {
     for (std::size_t j = 0; j < K; ++j) {
       const PrimFringe<D>& f = fringes[j];
       double sum = 0.0;
       for (int i = 0; i < D; ++i) {
-        double d = f.axes[static_cast<std::size_t>(i)][k] - f.q[i];
-        if constexpr (Torus) {
-          d = std::abs(d);
-          d = std::min(d, side - d);
-        }
+        const double d = f.axes[static_cast<std::size_t>(i)][k] - f.q[i];
         sum += d * d;
       }
       const bool closer = sum < f.best[k];
       f.best[k] = closer ? sum : f.best[k];
-      if constexpr (Parents) f.from[k] = closer ? f.current : f.from[k];
       if (f.best[k] < keys[j]) {
         keys[j] = f.best[k];
-        picks[j] = {k, false};
-      } else if (Parents && f.best[k] == keys[j]) {
-        picks[j].tie = true;
+        picks[j] = k;
       }
     }
   }
 }
 
-/// The scalar round from slot 0 on: no pick yet, at an infinite key.
-template <int D, bool Torus, bool Parents, std::size_t K>
-PrimPicks<K> prim_relax_scalar(const std::array<PrimFringe<D>, K>& fringes, std::size_t count,
-                               double side) noexcept {
-  PrimPicks<K> picks;
-  picks.fill({count, false});
-  std::array<double, K> keys;
-  keys.fill(std::numeric_limits<double>::infinity());
-  prim_relax_fold<D, Torus, Parents, K>(fringes, 0, count, side, picks, keys);
-  return picks;
-}
-
 }  // namespace detail
 
-/// One Euclidean dense Prim round on each of K fringes of `count` slots; see
-/// the section comment for semantics.
-template <int D, bool Parents, std::size_t K>
+/// One dense Prim round on each of K fringes of `count` slots; see the
+/// section comment for semantics.
+template <int D, std::size_t K>
 PrimPicks<K> prim_relax_argmin_portable(const std::array<PrimFringe<D>, K>& fringes,
                                         std::size_t count) noexcept {
-  return detail::prim_relax_scalar<D, false, Parents, K>(fringes, count, 0.0);
-}
-
-/// One dense Prim round with parents under the flat-torus metric on
-/// [0, side]^D. The torus serves only the stationary boundary ablation, so it
-/// has no AVX2 form and no batch.
-template <int D>
-PrimPick torus_prim_relax_argmin(const PrimFringe<D>& fringe, std::size_t count,
-                                 double side) noexcept {
-  return detail::prim_relax_scalar<D, true, true, 1>({fringe}, count, side)[0];
+  PrimPicks<K> picks;
+  picks.fill(count);
+  std::array<double, K> keys;
+  keys.fill(std::numeric_limits<double>::infinity());
+  detail::prim_relax_fold<D, K>(fringes, 0, count, picks, keys);
+  return picks;
 }
 
 #if MANET_KERNELS_X86
@@ -338,23 +298,18 @@ PrimPick torus_prim_relax_argmin(const PrimFringe<D>& fringe, std::size_t count,
 namespace detail {
 
 /// The per-lane running minimum of an AVX2 Prim round: each lane keeps its
-/// smallest key, the lowest slot holding it, and (with parents) whether it
-/// saw that key twice.
+/// smallest key and the lowest slot holding it.
 struct PrimLanes {
   __m256d key;
   __m256i slot;
-  __m256d tie;
 };
 
 /// Loop-invariant operands of one fringe of an AVX2 Prim round.
-template <int D, bool Parents>
+template <int D>
 struct PrimRoundAvx2 {
   AxisPointers<D> axes;  ///< a copy, so the loop keeps the pointers in registers
   double* best;
-  std::uint32_t* from;
   __m256d q0, q1, q2;
-  __m128i current;
-  __m256i low_dwords;  ///< gathers the low dword of each qword lane
 
   /// Relaxes slots [at, at + 4) (whose indices are `slot`) and folds their
   /// keys into `lanes`. The running key is a min, not a compare-and-blend,
@@ -372,19 +327,9 @@ struct PrimRoundAvx2 {
       sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
     }
     // min(sum, old) is `sum < old ? sum : old`: the blend, in one op.
-    const __m256d old = _mm256_loadu_pd(best + at);
-    const __m256d key = _mm256_min_pd(sum, old);
+    const __m256d key = _mm256_min_pd(sum, _mm256_loadu_pd(best + at));
     _mm256_storeu_pd(best + at, key);
     const __m256d lower = _mm256_cmp_pd(key, lanes.key, _CMP_LT_OQ);
-    if constexpr (Parents) {
-      const __m256d closer = _mm256_cmp_pd(sum, old, _CMP_LT_OQ);
-      const __m128i closer32 = _mm256_castsi256_si128(
-          _mm256_permutevar8x32_epi32(_mm256_castpd_si256(closer), low_dwords));
-      auto* from_at = reinterpret_cast<__m128i*>(from + at);
-      _mm_storeu_si128(from_at, _mm_blendv_epi8(_mm_loadu_si128(from_at), current, closer32));
-      const __m256d equal = _mm256_cmp_pd(key, lanes.key, _CMP_EQ_OQ);
-      lanes.tie = _mm256_andnot_pd(lower, _mm256_or_pd(lanes.tie, equal));
-    }
     lanes.key = _mm256_min_pd(key, lanes.key);
     lanes.slot = _mm256_castpd_si256(
         _mm256_blendv_pd(_mm256_castsi256_pd(lanes.slot), _mm256_castsi256_pd(slot), lower));
@@ -393,29 +338,26 @@ struct PrimRoundAvx2 {
 
 /// The pick of one fringe's lane sets, and its smallest key: the lowest
 /// slot among the lanes at the smallest key.
-template <bool Parents, std::size_t Sets>
-__attribute__((target("avx2"), always_inline)) inline PrimPick lane_pick(
+template <std::size_t Sets>
+__attribute__((target("avx2"), always_inline)) inline std::size_t lane_pick(
     const std::array<PrimLanes, Sets>& sets, double& min_key) noexcept {
   __m256d key = sets[0].key;
   for (std::size_t s = 1; s < Sets; ++s) key = _mm256_min_pd(key, sets[s].key);
   key = _mm256_min_pd(key, _mm256_permute2f128_pd(key, key, 1));
   key = _mm256_min_pd(key, _mm256_permute_pd(key, 0b0101));
   unsigned at = 0;
-  int tied = 0;
   alignas(32) std::int64_t slots[4 * Sets] = {};
   for (std::size_t s = 0; s < Sets; ++s) {
-    const int at_s = _mm256_movemask_pd(_mm256_cmp_pd(sets[s].key, key, _CMP_EQ_OQ));
-    at |= static_cast<unsigned>(at_s) << (4 * s);
-    if constexpr (Parents) tied |= _mm256_movemask_pd(sets[s].tie) & at_s;
+    at |= static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(sets[s].key, key, _CMP_EQ_OQ)))
+          << (4 * s);
     _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 4 * s), sets[s].slot);
   }
   // `at` is never empty: the smallest key is one of the lanes' keys.
-  PrimPick pick{static_cast<std::size_t>(slots[__builtin_ctz(at)]), false};
-  if (tied != 0 || (at & (at - 1)) != 0) {
-    // Rare: the key sits in several lanes, or twice in one.
-    pick.tie = Parents;
+  auto pick = static_cast<std::size_t>(slots[__builtin_ctz(at)]);
+  if ((at & (at - 1)) != 0) {
+    // Rare: the key sits in several lanes, whose bit order is not slot order.
     for (unsigned rest = at; rest != 0; rest &= rest - 1) {
-      pick.slot = std::min(pick.slot, static_cast<std::size_t>(slots[__builtin_ctz(rest)]));
+      pick = std::min(pick, static_cast<std::size_t>(slots[__builtin_ctz(rest)]));
     }
   }
   min_key = _mm256_cvtsd_f64(key);
@@ -432,27 +374,20 @@ __attribute__((target("avx2"), always_inline)) inline PrimPick lane_pick(
 /// its slots over two lane sets (8j..8j+3 and 8j+4..8j+7) for two. A pick is
 /// the portable loop's: the lowest slot among the lanes at the smallest key,
 /// then the scalar tail, whose slots follow every lane's.
-template <int D, bool Parents, std::size_t K>
+template <int D, std::size_t K>
 __attribute__((target("avx2"))) PrimPicks<K> prim_relax_argmin_avx2(
     const std::array<PrimFringe<D>, K>& fringes, std::size_t count) noexcept {
   constexpr std::size_t kSets = K == 1 ? 2 : 1;
-  using Round = detail::PrimRoundAvx2<D, Parents>;
-  std::array<Round, K> rounds;
+  std::array<detail::PrimRoundAvx2<D>, K> rounds;
   for (std::size_t j = 0; j < K; ++j) {
     const double* q = fringes[j].q;
-    rounds[j] = {fringes[j].axes,
-                 fringes[j].best,
-                 fringes[j].from,
-                 _mm256_set1_pd(q[0]),
-                 _mm256_set1_pd(D >= 2 ? q[1] : 0.0),
-                 _mm256_set1_pd(D >= 3 ? q[2] : 0.0),
-                 _mm_set1_epi32(static_cast<int>(fringes[j].current)),
-                 _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)};
+    rounds[j] = {fringes[j].axes, fringes[j].best, _mm256_set1_pd(q[0]),
+                 _mm256_set1_pd(D >= 2 ? q[1] : 0.0), _mm256_set1_pd(D >= 3 ? q[2] : 0.0)};
   }
   std::array<std::array<detail::PrimLanes, kSets>, K> lanes;
   for (auto& sets : lanes) {
     sets.fill({_mm256_set1_pd(std::numeric_limits<double>::infinity()),
-               _mm256_set1_epi64x(static_cast<long long>(count)), _mm256_setzero_pd()});
+               _mm256_set1_epi64x(static_cast<long long>(count))});
   }
   const __m256i four = _mm256_set1_epi64x(4);
   __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
@@ -469,28 +404,28 @@ __attribute__((target("avx2"))) PrimPicks<K> prim_relax_argmin_avx2(
   }
   PrimPicks<K> picks;
   std::array<double, K> keys;
-  for (std::size_t j = 0; j < K; ++j) picks[j] = detail::lane_pick<Parents>(lanes[j], keys[j]);
+  for (std::size_t j = 0; j < K; ++j) picks[j] = detail::lane_pick(lanes[j], keys[j]);
   // The tail runs in the baseline-ISA fold, before which GCC may emit no
   // vzeroupper; with the upper halves left dirty, every SSE instruction of
   // the fold and of the caller pays a merge (measured: the K = 4 round ran
   // ~3x slower in the engine than in isolation).
   _mm256_zeroupper();
-  detail::prim_relax_fold<D, false, Parents, K>(fringes, k, count, 0.0, picks, keys);
+  detail::prim_relax_fold<D, K>(fringes, k, count, picks, keys);
   return picks;
 }
 
 #endif  // MANET_KERNELS_X86
 
-/// One Euclidean dense Prim round on each of K fringes; best, from and the
-/// picks are bit-identical on every path. The AVX2 form is a source of its
-/// own, so the pick is made here rather than by with_best_isa.
-template <int D, bool Parents, std::size_t K>
+/// One dense Prim round on each of K fringes; best and the picks are
+/// bit-identical on every path. The AVX2 form is a source of its own, so
+/// the pick is made here rather than by with_best_isa.
+template <int D, std::size_t K>
 inline PrimPicks<K> prim_relax_argmin(const std::array<PrimFringe<D>, K>& fringes,
                                       std::size_t count) noexcept {
 #if MANET_KERNELS_X86
-  if (cpu_has_avx2()) return prim_relax_argmin_avx2<D, Parents, K>(fringes, count);
+  if (cpu_has_avx2()) return prim_relax_argmin_avx2<D, K>(fringes, count);
 #endif
-  return prim_relax_argmin_portable<D, Parents, K>(fringes, count);
+  return prim_relax_argmin_portable<D, K>(fringes, count);
 }
 
 }  // namespace manet::kernels

@@ -75,8 +75,10 @@ double Rng::normal(double mean, double stddev) {
 Rng Rng::split() noexcept {
   // Derive the child seed from fresh draws so parent and child streams are
   // decorrelated; mixing through SplitMix64 happens in the Rng constructor.
-  const std::uint64_t child_seed = next_u64() ^ std::rotl(next_u64(), 32);
-  return Rng(child_seed);
+  // Named draws fix the order: the operands of `^` are unsequenced.
+  const std::uint64_t first = next_u64();
+  const std::uint64_t rotated = next_u64();
+  return Rng(first ^ std::rotl(rotated, 32));
 }
 
 std::uint64_t substream_seed(std::uint64_t root_seed, std::uint64_t trial_index) noexcept {

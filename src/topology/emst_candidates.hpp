@@ -2,8 +2,8 @@
 
 // Candidate-edge machinery of the EMST engine (topology/emst_grid.hpp): the
 // candidate record, its strict (d2, u, v) total order, the one sort that
-// produces that order (used by both the dense and the grid path), and the
-// Kruskal forest and loop the grid path filters candidates through.
+// produces that order, and the Kruskal forest and loop the grid path
+// filters candidates through.
 // Internal to the topology layer: nothing outside the engine (and its
 // tests) should need it.
 //
@@ -72,7 +72,7 @@ struct CandidateSortScratch {
 
 /// Below this size the comparator sort beats the radix passes' fixed costs.
 /// Measured on a 4-core x86-64 host (gcc 12, -O3): the two break even near
-/// 47 candidates; at 63 (a dense n = 64 tree) the radix sort takes 0.85 µs
+/// 47 candidates; at 63 candidates the radix sort takes 0.85 µs
 /// against std::sort's 1.44 µs.
 inline constexpr std::size_t kRadixCutoff = 48;
 /// Largest size sorted with 8-bit digits (a 24-bit key, 3 x 256-bin

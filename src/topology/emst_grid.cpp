@@ -41,11 +41,9 @@ double EmstEngine<D>::initial_radius(std::size_t n, double side) {
 }
 
 template <int D>
-template <bool Torus, bool Parents, std::size_t K>
-void EmstEngine<D>::dense_prim(const std::array<std::span<const Point<D>>, K>& batch,
-                               double side) {
-  static_assert(Parents || !Torus, "the torus always builds its tree");
-  static_assert(K == 1 || (!Parents && K <= kPrimBatch), "a batch yields keys only");
+template <std::size_t K>
+void EmstEngine<D>::dense_prim(const std::array<std::span<const Point<D>>, K>& batch) {
+  static_assert(K == 1 || K == kPrimBatch);
   const std::size_t n = batch[0].size();
   stats_.dense_fallback = true;
   emst_metrics().dense.add(K);
@@ -67,15 +65,10 @@ void EmstEngine<D>::dense_prim(const std::array<std::span<const Point<D>>, K>& b
     f.coords.resize(padded);
     for (std::size_t i = 0; i < padded; ++i) f.coords.set(i, i < n ? points[i] : inert);
     f.best.assign(padded, kInf);
-    if constexpr (Parents) {
-      f.from.assign(padded, 0);
-      f.id.resize(n);
-      for (std::size_t i = 0; i < n; ++i) f.id[i] = static_cast<std::uint32_t>(i);
-    }
     added[j] = points[0];
-    // The buffers keep their addresses for the whole solve; only `current`
-    // and the point behind q change from round to round.
-    round[j] = {f.coords.axes(), added[j].coords.data(), f.best.data(), f.from.data(), 0};
+    // The buffers keep their addresses for the whole solve; only the point
+    // behind q changes from round to round.
+    round[j] = {f.coords.axes(), added[j].coords.data(), f.best.data()};
   }
   std::size_t count = n;
   // Moves the last live slot of fringe j into `slot` and retires the last.
@@ -84,62 +77,25 @@ void EmstEngine<D>::dense_prim(const std::array<std::span<const Point<D>>, K>& b
     const std::size_t last = count - 1;
     f.coords.set(slot, f.coords.get(last));
     f.best[slot] = f.best[last];
-    if constexpr (Parents) {
-      f.from[slot] = f.from[last];
-      f.id[slot] = f.id[last];
-    }
     f.coords.set(last, inert);
     f.best[last] = kInf;
   };
   for (std::size_t j = 0; j < K; ++j) remove_slot(j, 0);
   --count;
 
-  if constexpr (Parents) {
-    candidates_.resize(n - 1);
-  } else {
-    prim_keys_.resize(K * (n - 1));
-  }
-  double max_d2 = 0.0;
+  prim_keys_.resize(K * (n - 1));
   for (std::size_t e = 0; e + 1 < n; ++e) {
-    const std::size_t scanned = whole_blocks(count);
-    kernels::PrimPicks<K> picks;
-    if constexpr (Torus) {
-      picks[0] = kernels::torus_prim_relax_argmin<D>(round[0], scanned, side);
-    } else {
-      picks = kernels::prim_relax_argmin<D, Parents, K>(round, scanned);
-    }
+    const kernels::PrimPicks<K> picks =
+        kernels::prim_relax_argmin<D, K>(round, whole_blocks(count));
     for (std::size_t j = 0; j < K; ++j) {
       Fringe& f = fringes_[j];
-      std::size_t slot = picks[j].slot;
+      const std::size_t slot = picks[j];
       MANET_ENSURES(slot < count && f.best[slot] < kInf);
-      if constexpr (Parents) {
-        if (picks[j].tie) {
-          // Equal keys go to the smallest vertex id, as in mst_with_metric.
-          for (std::size_t k = 0; k < count; ++k) {
-            if (f.best[k] == f.best[slot] && f.id[k] < f.id[slot]) slot = k;
-          }
-        }
-        round[j].current = f.id[slot];
-        candidates_[e] = {f.best[slot], f.from[slot], round[j].current};
-        max_d2 = std::max(max_d2, f.best[slot]);
-      } else {
-        prim_keys_[j * (n - 1) + e] = f.best[slot];
-      }
+      prim_keys_[j * (n - 1) + e] = f.best[slot];
       added[j] = f.coords.get(slot);
       remove_slot(j, slot);
     }
     --count;
-  }
-
-  if constexpr (Parents) {
-    // The output contract is (d2, u, v) order, as on the grid path. The sort
-    // needs a positive bound; when every point coincides all keys are 0 and
-    // any positive bound holds.
-    detail::sort_candidates(candidates_, max_d2 > 0.0 ? max_d2 : 1.0,
-                            detail::thread_sort_scratch());
-    for (const detail::EmstCandidate& c : candidates_) {
-      mst_.push_back({c.u, c.v, covering_radius(c.d2)});
-    }
   }
 }
 
@@ -156,12 +112,6 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
     throw ConfigError("EmstEngine: more than 2^32 points are not supported");
   }
   emst_metrics().solves.increment();
-
-  if (Torus ? n < kTorusDenseCutoff : dense_path(n)) {
-    // Below the cutoff the grid cannot prune enough pairs to pay for itself.
-    dense_prim<Torus, true, 1>({points}, side);
-    return mst_;
-  }
 
   // The farthest any pair can be: at this radius the candidate graph is
   // complete, so the doubling search always terminates.
@@ -222,7 +172,7 @@ std::array<std::span<const double>, K> EmstEngine<D>::prim_order_keys(
   prim_keys_.clear();
   if (n > 1) {
     emst_metrics().solves.add(K);
-    dense_prim<false, false, K>(batch, 0.0);
+    dense_prim<K>(batch);
   }
   const std::size_t per_set = n > 1 ? n - 1 : 0;
   std::array<std::span<const double>, K> keys;

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,28 +20,22 @@ struct EmstGridStats {
   std::size_t rounds = 0;           ///< adaptive doubling rounds taken (grid path)
   std::size_t candidate_edges = 0;  ///< edges enumerated in the final round
   double final_radius = 0.0;        ///< radius at which the candidate graph spanned
-  bool dense_fallback = false;      ///< true when the dense Prim path was selected
+  bool dense_fallback = false;      ///< true when a dense loop ran instead of the grid
 };
 
-/// Euclidean MST engine with two paths picked by n alone: a vectorized dense
-/// Prim up to a few hundred nodes, and a filtered-Kruskal over the candidate
-/// edges enumerated by a CellGrid at an adaptive doubling radius above that.
-///
-/// Dense path (n < kDenseCutoff, or n < kTorusDenseCutoff under the torus
-/// metric): Prim over a compacted fringe in SoA form. Each round makes one
-/// kernels::prim_relax_argmin call (geometry/distance_kernels.hpp) that
-/// relaxes every fringe vertex against the vertex added last and returns the
-/// closest, then swap-removes it. Among equal keys the smallest vertex id
-/// wins, as in `mst_with_metric`, so the dense tree equals that reference
-/// edge for edge. Below the cutoff the grid prunes too few pairs to pay for
-/// its rebinning, sort and Kruskal.
+/// Euclidean (and flat-torus) MST engine. Every tree comes from one path: a
+/// filtered-Kruskal over the candidate edges enumerated by a CellGrid at an
+/// adaptive doubling radius. Dense mobile steps and stationary critical
+/// ranges below kDenseCutoff need only the tree's weights, which
+/// prim_order_keys gives them from a vectorized dense Prim without a tree.
 ///
 /// Grid path: the search starts near the expected connectivity threshold
 /// l * (log n / n)^(1/D) (the critical-range scale of random geometric
 /// graphs), runs Kruskal over the pairs within that radius, and doubles the
 /// radius — rebinning the grid so the `radius <= cell_size` query
 /// precondition keeps holding — until the candidate graph spans. Expected
-/// cost is O(n log n) per solve instead of dense Prim's O(n^2).
+/// cost is O(n log n) per solve instead of dense Prim's O(n^2). A torus
+/// grid of fewer than three cells per axis scans all pairs.
 ///
 /// VALUE IDENTITY: the returned tree has exactly the same edge-weight
 /// multiset as the dense reference (`mst_with_metric`, a test-only oracle in
@@ -51,36 +44,33 @@ struct EmstGridStats {
 /// same squared-distance + covering_radius arithmetic, so every quantity the
 /// simulator derives from the tree (bottleneck / critical radius,
 /// largest-component breakpoint curve, total weight) is bit-identical to the
-/// dense result. The PR 2 golden MTRM checksums are the regression gate.
+/// reference result, and so are prim_order_keys' keys as a multiset. The
+/// golden MTRM checksums (tests/determinism_test.cpp) are the regression
+/// gate.
 ///
-/// Both paths order their edges with the routines of
-/// topology/emst_candidates.hpp (the radix sort_candidates and, on the grid
-/// path, the 32-bit KruskalForest), so both emit one (d2, u, v) order. The
-/// engine is a reusable workspace: the fringe, grid, candidate buffer, forest
-/// and result tree all retain capacity across solves (the sort's scatter
-/// buffer is the thread's), so a hot loop (one solve per mobility step)
-/// performs no steady-state heap allocations. It is NOT
+/// Edges are ordered with the routines of topology/emst_candidates.hpp (the
+/// radix sort_candidates and the 32-bit KruskalForest), in (d2, u, v)
+/// order. The engine is a reusable workspace: the fringes, grid, candidate
+/// buffer, forest and result tree all retain capacity across solves (the
+/// sort's scatter buffer is the thread's), so a hot loop (one solve per
+/// mobility step) performs no steady-state heap allocations. It is NOT
 /// thread-safe; use one engine per thread (see sim/trace_workspace.hpp).
 template <int D>
 class EmstEngine {
  public:
-  /// n below which the Euclidean dense path runs. Timed against the grid
-  /// path (DESIGN.md §10), dense Prim was faster at every n <= 896 measured,
-  /// on uniform sets in D = 1, 2, 3 and on paper-density waypoint and
-  /// drunkard traces; at n = 1024 the grid won in D = 2 and on drunkard.
+  /// n below which a keys-only solve (a dense mobile step, a stationary
+  /// critical range) runs prim_order_keys instead of the grid. Timed against
+  /// the grid path (DESIGN.md §10), dense Prim was faster at every n <= 896
+  /// measured, on uniform sets in D = 1, 2, 3 and on paper-density waypoint
+  /// and drunkard traces; at n = 1024 the grid won in D = 2 and on drunkard.
   static constexpr std::size_t kDenseCutoff = 897;
 
-  /// n below which the torus dense path runs, per D. Its relax round is the
-  /// portable loop, and the wrap-aware grid overtakes it far sooner in
-  /// D = 1, 2 than in D = 3 (timed both ways, DESIGN.md §10).
-  static constexpr std::size_t kTorusDenseCutoff = D == 1 ? 21 : D == 2 ? 73 : 377;
-
-  /// Whether a Euclidean solve of n points takes the dense path: the one
-  /// place the choice is made (the torus compares n with its own cutoff).
+  /// Whether a keys-only solve of n points takes the dense path: the one
+  /// place the choice is made. Trees always come from the grid.
   static constexpr bool dense_path(std::size_t n) noexcept { return n < kDenseCutoff; }
 
   /// n below which max_nearest_neighbor_range runs its all-pairs loop
-  /// instead of the grid search; the cutoffs above govern the MST paths only.
+  /// instead of the grid search; kDenseCutoff governs the MST keys only.
   /// Timed per call on uniform sets (x86-64, -O3), all-pairs vs grid: D = 1
   /// 2.9 vs 2.2 µs at n = 48 and 26.4 vs 9.3 µs at n = 128; D = 2 6.7 vs
   /// 8.5 µs at n = 64 and 27.3 vs 27.9 µs at n = 128; D = 3 27.0 vs 39.7 µs
@@ -100,9 +90,9 @@ class EmstEngine {
   /// The keys of dense Prims from vertex 0 without their trees, for K point
   /// sets of one size n: entry j holds batch[j]'s n-1 squared edge lengths
   /// in the order Prim adds their far ends (empty for n <= 1), valid until
-  /// the next call. The round keeps no parents and breaks key ties by slot,
-  /// not by vertex id, so the order may differ from the one behind
-  /// `euclidean`'s tree. The largest key is the bottleneck, and
+  /// the next call. The round keeps no parents and breaks key ties by the
+  /// lowest fringe slot. The keys are the MST's squared weights as a
+  /// multiset; the largest is the bottleneck, and
   /// LargestComponentCurve::from_prim_order builds the component curve from
   /// the order. The K sets share one K-fringe round per vertex, and each
   /// gets the keys of a solve of its own, bit for bit. K is 1 or kPrimBatch.
@@ -149,12 +139,11 @@ class EmstEngine {
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
-  /// Prim over the padded SoA fringes of K point sets of one size, in one
-  /// K-fringe round per vertex. With parents (K = 1) it fills mst_ in
-  /// (d2, u, v) order; without, prim_keys_ with each set's keys in Prim
-  /// order, set j at offset j * (n - 1).
-  template <bool Torus, bool Parents, std::size_t K>
-  void dense_prim(const std::array<std::span<const Point<D>>, K>& batch, double side);
+  /// Prim over the padded SoA fringes of K point sets of one size n > 1, in
+  /// one K-fringe round per vertex: fills prim_keys_ with each set's keys in
+  /// Prim order, set j at offset j * (n - 1).
+  template <std::size_t K>
+  void dense_prim(const std::array<std::span<const Point<D>>, K>& batch);
 
   /// Starting radius of the doubling search: the connectivity threshold
   /// scale l * (log n / n)^(1/D) of random geometric graphs.
@@ -166,15 +155,12 @@ class EmstEngine {
   std::vector<WeightedEdge> mst_;
   std::vector<double> prim_keys_;
   std::vector<double> nn2_;
-  // A dense-path fringe, compacted into slots [0, count): coordinates, best
-  // squared distance to the tree, and with parents the tree vertex at that
-  // distance and the vertex id (pooled so the dense path is allocation-free
-  // too). A batch uses the first K.
+  // A dense-path fringe, compacted into slots [0, count): coordinates and
+  // best squared distance to the tree (pooled so the dense path is
+  // allocation-free too). A batch uses the first K.
   struct Fringe {
     PointStore<D> coords;
     std::vector<double> best;
-    std::vector<std::uint32_t> from;
-    std::vector<std::uint32_t> id;
   };
   std::array<Fringe, kPrimBatch> fringes_;
   EmstGridStats stats_;

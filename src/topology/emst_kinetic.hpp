@@ -25,7 +25,7 @@ struct KineticStats {
   std::size_t last_superseded = 0;      ///< always 0
   std::size_t last_delta = 0;           ///< always 0
   std::size_t candidate_edges = 0;      ///< grid candidates of the latest solve
-  bool dense_mode = false;              ///< the latest solve ran dense Prim
+  bool dense_mode = false;              ///< the latest step ran advance_prim_order
 };
 
 /// The engine of a mobile trace (TraceWorkspace::kinetic): one
@@ -55,7 +55,7 @@ class KineticEmstEngine {
   std::span<const WeightedEdge> advance(std::span<const Point<D>> points) {
     const auto tree = engine_.euclidean(points, Box<D>(side_));
     const EmstGridStats& solve = engine_.stats();
-    stats_.dense_mode = solve.dense_fallback;
+    stats_.dense_mode = false;
     stats_.candidate_edges = solve.candidate_edges;
     if (solve.rounds > 0) ++stats_.full_rebuilds;
     return tree;

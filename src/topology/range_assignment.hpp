@@ -113,8 +113,12 @@ template <int D>
 double per_node_assignment_savings(std::span<const Point<D>> points, const Box<D>& box,
                                    double alpha) {
   if (points.size() <= 1) return 0.0;
-  const double homogeneous = homogeneous_assignment(points, box).cost(alpha);
-  const double per_node = mst_assignment(points, box).cost(alpha);
+  // One tree serves both: the largest incident MST weight is the bottleneck,
+  // which is the homogeneous assignment's common range.
+  const RangeAssignment mst = mst_assignment(points, box);
+  const double homogeneous =
+      RangeAssignment(std::vector<double>(points.size(), mst.max_range())).cost(alpha);
+  const double per_node = mst.cost(alpha);
   MANET_ENSURES(homogeneous > 0.0);
   return 1.0 - per_node / homogeneous;
 }

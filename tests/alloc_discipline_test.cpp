@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -214,10 +215,10 @@ TEST(AllocDiscipline, PaperDrunkardWindowAtN1024MakesZeroAllocations) {
 }
 
 TEST(AllocDiscipline, WarmDenseSolvesMakeZeroAllocations) {
-  // The dense path serves every solve below kDenseCutoff (every paper-figure
-  // size): its fringe, candidate buffer, sort scratch and tree are pooled,
-  // so warm batch solves and warm trace steps at the largest dense size
-  // must not touch the heap.
+  // The dense path serves every keys-only solve below kDenseCutoff (every
+  // paper-figure step, the stationary critical range): its fringes and key
+  // buffer are pooled, so warm prim_order_keys solves at the largest dense
+  // size, of one set and of a trace's batch, must not touch the heap.
   const std::size_t n = EmstEngine<2>::kDenseCutoff - 1;
   const double side = 16384.0;
   const Box2 box(side);
@@ -225,22 +226,29 @@ TEST(AllocDiscipline, WarmDenseSolvesMakeZeroAllocations) {
   Rng rng(0xA110C4ull);
   auto positions = uniform_deployment(n, box, rng);
   model->initialize(positions, rng);
+  std::array<std::vector<Point2>, EmstEngine<2>::kPrimBatch> steps;
+  std::array<std::span<const Point2>, EmstEngine<2>::kPrimBatch> batch;
+  for (std::size_t j = 0; j < steps.size(); ++j) {
+    model->step(positions, rng);
+    steps[j] = positions;
+    batch[j] = steps[j];
+  }
 
-  EmstEngine<2> batch;
-  for (int s = 0; s < 20; ++s) batch.euclidean(positions, box);
+  EmstEngine<2> engine;
+  const auto solve = [&] {
+    std::size_t keys = engine.prim_order_keys<1>({batch[0]})[0].size();
+    for (const auto set : engine.prim_order_keys(batch)) keys += set.size();
+    return keys;
+  };
+  for (int s = 0; s < 20; ++s) solve();
   g_news = 0;
   g_counting = true;
-  std::size_t edges = 0;
-  for (int s = 0; s < 50; ++s) edges += batch.euclidean(positions, box).size();
+  std::size_t keys = 0;
+  for (int s = 0; s < 50; ++s) keys += solve();
   g_counting = false;
   EXPECT_EQ(g_news, 0u) << "a warm dense solve touched the heap";
-  EXPECT_TRUE(batch.stats().dense_fallback);
-  EXPECT_EQ(edges, 50u * (n - 1));
-
-  KineticEmstEngine<2> engine;
-  EXPECT_EQ(count_warm_step_allocations(engine, *model, positions, box, rng, 20, 50), 0u)
-      << "a warm dense trace step touched the heap";
-  EXPECT_TRUE(engine.stats().dense_mode);
+  EXPECT_TRUE(engine.stats().dense_fallback);
+  EXPECT_EQ(keys, 50u * (1 + batch.size()) * (n - 1));
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {

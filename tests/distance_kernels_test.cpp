@@ -166,35 +166,22 @@ TEST(BatchMaskedAdvance, BitIdenticalToScalarAndLeavesMaskedLanesUntouched3D) {
 // ----- prim_relax_argmin ---------------------------------------------------
 
 /// One dense Prim round written out with the scalar core: the kernels'
-/// contract (geometry/distance_kernels.hpp) as plain code.
+/// contract (geometry/distance_kernels.hpp) as plain code. Returns the pick.
 template <int D>
-kernels::PrimPick reference_prim_round(const PointStore<D>& fringe, std::size_t count,
-                                       const Point<D>& q, std::uint32_t current,
-                                       std::vector<double>& best,
-                                       std::vector<std::uint32_t>& from) {
-  kernels::PrimPick pick{count, false};
+std::size_t reference_prim_round(const PointStore<D>& fringe, std::size_t count,
+                                 const Point<D>& q, std::vector<double>& best) {
+  std::size_t pick = count;
   double key = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < count; ++k) {
     const double d2 = squared_distance(fringe.get(k), q);
-    if (d2 < best[k]) {
-      best[k] = d2;
-      from[k] = current;
-    }
+    if (d2 < best[k]) best[k] = d2;
     if (best[k] < key) {
       key = best[k];
-      pick = {k, false};
-    } else if (best[k] == key) {
-      pick.tie = true;
+      pick = k;
     }
   }
   return pick;
 }
-
-/// Kernel state of one fringe under one form.
-struct PrimState {
-  std::vector<double> best;
-  std::vector<std::uint32_t> from;
-};
 
 /// K fringes of one count, each with its own query per round
 /// (queries[r][j] is fringe j's in round r) and its own initial keys.
@@ -206,74 +193,54 @@ struct PrimRounds {
 };
 
 /// One K-fringe round through the portable or the AVX2 form.
-template <int D, bool Parents, std::size_t K>
+template <int D, std::size_t K>
 kernels::PrimPicks<K> run_prim_form(bool avx2, const std::array<kernels::PrimFringe<D>, K>& round,
                                     std::size_t count) {
 #if MANET_KERNELS_X86
-  if (avx2) return kernels::prim_relax_argmin_avx2<D, Parents>(round, count);
+  if (avx2) return kernels::prim_relax_argmin_avx2<D>(round, count);
 #endif
   EXPECT_FALSE(avx2);
-  return kernels::prim_relax_argmin_portable<D, Parents>(round, count);
+  return kernels::prim_relax_argmin_portable<D>(round, count);
 }
 
 /// Runs every round of `c` through the reference, one scalar round per
 /// fringe, and through each K-fringe form: portable and (when the CPU has
-/// it) AVX2, with parents and without (no `from` at all), each on its own
-/// copy of best/from. After every round each fringe's keys must be
-/// bit-equal, its `from` ids equal (with parents) and its pick equal to the
-/// reference's; the parent-less forms report no tie. Returns the reference
-/// picks, round by round.
+/// it) AVX2, each on its own copy of the keys. After every round each
+/// fringe's keys must be bit-equal and its pick equal to the reference's.
+/// Returns the reference picks, round by round.
 template <int D, std::size_t K>
 std::vector<kernels::PrimPicks<K>> check_prim_rounds(const PrimRounds<D, K>& c,
                                                      std::size_t count) {
   struct Form {
     const char* name;
-    bool parents;
     bool avx2;
-    std::array<PrimState, K> state;
+    std::array<std::vector<double>, K> best;
   };
-  std::array<PrimState, K> reference;
-  for (std::size_t j = 0; j < K; ++j) {
-    reference[j] = {c.initial_best[j], std::vector<std::uint32_t>(count, 0)};
-  }
-  std::vector<Form> forms = {{"portable", true, false, reference},
-                             {"portable keys", false, false, reference}};
+  std::array<std::vector<double>, K> reference = c.initial_best;
+  std::vector<Form> forms = {{"portable", false, reference}};
 #if MANET_KERNELS_X86
-  if (kernels::cpu_has_avx2()) {
-    forms.push_back({"avx2", true, true, reference});
-    forms.push_back({"avx2 keys", false, true, reference});
-  }
+  if (kernels::cpu_has_avx2()) forms.push_back({"avx2", true, reference});
 #endif
   std::vector<kernels::PrimPicks<K>> picks;
   for (std::size_t r = 0; r < c.queries.size(); ++r) {
-    const auto current = [r](std::size_t j) { return static_cast<std::uint32_t>(1000 + 10 * r + j); };
     kernels::PrimPicks<K> expected;
     for (std::size_t j = 0; j < K; ++j) {
-      expected[j] = reference_prim_round<D>(c.fringes[j], count, c.queries[r][j], current(j),
-                                            reference[j].best, reference[j].from);
+      expected[j] = reference_prim_round<D>(c.fringes[j], count, c.queries[r][j], reference[j]);
     }
     picks.push_back(expected);
     for (Form& form : forms) {
       std::array<kernels::PrimFringe<D>, K> round;
       for (std::size_t j = 0; j < K; ++j) {
-        round[j] = {c.fringes[j].axes(), c.queries[r][j].coords.data(),
-                    form.state[j].best.data(),
-                    form.parents ? form.state[j].from.data() : nullptr, current(j)};
+        round[j] = {c.fringes[j].axes(), c.queries[r][j].coords.data(), form.best[j].data()};
       }
-      const kernels::PrimPicks<K> got =
-          form.parents ? run_prim_form<D, true>(form.avx2, round, count)
-                       : run_prim_form<D, false>(form.avx2, round, count);
+      const kernels::PrimPicks<K> got = run_prim_form<D>(form.avx2, round, count);
       for (std::size_t j = 0; j < K; ++j) {
         SCOPED_TRACE(::testing::Message() << form.name << ", D=" << D << " K=" << K
                                           << " count=" << count << " round " << r
                                           << " fringe " << j);
-        EXPECT_EQ(got[j].slot, expected[j].slot);
-        EXPECT_EQ(got[j].tie, form.parents && expected[j].tie);
+        EXPECT_EQ(got[j], expected[j]);
         for (std::size_t k = 0; k < count; ++k) {
-          EXPECT_TRUE(bits_equal(form.state[j].best[k], reference[j].best[k])) << "k=" << k;
-          if (form.parents) {
-            EXPECT_EQ(form.state[j].from[k], reference[j].from[k]) << "k=" << k;
-          }
+          EXPECT_TRUE(bits_equal(form.best[j][k], reference[j][k])) << "k=" << k;
         }
       }
     }
@@ -307,8 +274,7 @@ void check_prim_relax_argmin() {
       check_prim_rounds(c, count);
     }
     // A small integer lattice: many equal keys inside a lane, across lanes
-    // and between the two lane sets, and relaxations that tie the old key
-    // (which must keep the old `from`).
+    // and between the two lane sets, and relaxations that tie the old key.
     {
       const auto lattice = [&] { return static_cast<double>(rng.next_u64() % 3); };
       PrimRounds<D, 1> c;
@@ -378,11 +344,11 @@ TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds1D) { check_k_fringe_roun
 TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds2D) { check_k_fringe_rounds<2>(); }
 TEST(PrimRelaxArgmin, KFringeRoundEqualsKSeparateRounds3D) { check_k_fringe_rounds<3>(); }
 
-TEST(PrimRelaxArgmin, TiesPickTheLowestSlotAndAreReported) {
+TEST(PrimRelaxArgmin, TiesPickTheLowestSlot) {
   // Every slot at squared distance 100 from the origin except the slots in
-  // `near`, at distance 1: the pick is the lowest of them, and `tie` is set
-  // exactly when there are two. The pairs cover one lane (slots 8 apart),
-  // neighboring lanes, the two lane sets (4 apart) and the scalar tail.
+  // `near`, at distance 1: every form picks the lowest of them. The pairs
+  // cover one lane (slots 8 apart), neighboring lanes, the two lane sets (4
+  // apart), lanes whose bit order is not slot order, and the scalar tail.
   const double inf = std::numeric_limits<double>::infinity();
   const Point2 origin{{0.0, 0.0}};
   const std::vector<std::vector<std::size_t>> cases = {
@@ -396,32 +362,8 @@ TEST(PrimRelaxArgmin, TiesPickTheLowestSlotAndAreReported) {
       c.queries.push_back({origin});
       c.initial_best[0].assign(count, inf);
       const auto picks = check_prim_rounds(c, count);
-      EXPECT_EQ(picks[0][0].slot, *std::min_element(near.begin(), near.end()));
-      EXPECT_EQ(picks[0][0].tie, near.size() > 1);
+      EXPECT_EQ(picks[0][0], *std::min_element(near.begin(), near.end()));
     }
-  }
-}
-
-TEST(PrimRelaxArgmin, TorusRoundMatchesTheTorusScalarCore) {
-  Rng rng(4343u);
-  const double side = 10.0;
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const std::size_t count : kPrimCounts) {
-    const PointStore<2> fringe = random_store<2>(count, 0.0, side, rng);
-    std::vector<double> best(count, inf);
-    std::vector<std::uint32_t> from(count, 0);
-    const Point2 q{{rng.uniform(0.0, side), rng.uniform(0.0, side)}};
-    const kernels::PrimPick pick = kernels::torus_prim_relax_argmin<2>(
-        {fringe.axes(), q.coords.data(), best.data(), from.data(), 7}, count, side);
-    std::size_t expected = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double d2 = torus_squared_distance(fringe.get(k), q, side);
-      EXPECT_TRUE(bits_equal(best[k], d2)) << "k=" << k;
-      EXPECT_EQ(from[k], 7u);
-      if (d2 < best[expected]) expected = k;
-    }
-    EXPECT_EQ(pick.slot, expected) << "count=" << count;
-    EXPECT_FALSE(pick.tie);
   }
 }
 

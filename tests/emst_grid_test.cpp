@@ -35,11 +35,11 @@ std::vector<double> sorted_weights(std::span<const WeightedEdge> edges) {
   return weights;
 }
 
-// The grid engine may pick a different (equally minimal) tree than dense
-// Prim when edge weights tie, so trees are compared through the quantities
-// the simulator actually consumes — all of which are invariant across every
-// MST of the same graph and must match BITWISE (EXPECT_EQ on doubles):
-// the sorted edge-weight multiset, the bottleneck, and the full
+// The grid engine may pick a different (equally minimal) tree than the
+// reference Prim when edge weights tie, so trees are compared through the
+// quantities the simulator actually consumes — all of which are invariant
+// across every MST of the same graph and must match BITWISE (EXPECT_EQ on
+// doubles): the sorted edge-weight multiset, the bottleneck, and the full
 // largest-component breakpoint curve.
 void expect_value_identical(std::size_t n, std::span<const WeightedEdge> dense,
                             std::span<const WeightedEdge> grid) {
@@ -82,7 +82,8 @@ void expect_value_identical(std::size_t n, std::span<const WeightedEdge> dense,
 }
 
 // Independent O(n^2 log n) reference: Kruskal over all pairs, no shared code
-// with either dense Prim or the grid engine beyond the distance helpers.
+// with either the reference Prim or the grid engine beyond the distance
+// helpers.
 template <int D>
 std::vector<double> kruskal_reference_weights(const std::vector<Point<D>>& points) {
   struct Edge {
@@ -126,7 +127,7 @@ std::vector<Point<D>> clustered_deployment(std::size_t n, const Box<D>& box,
   return points;
 }
 
-// One uniform point set through the grid engine, dense Prim and the
+// One uniform point set through the grid engine, the reference Prim and the
 // all-pairs Kruskal reference: all three must agree bitwise.
 template <int D>
 void check_uniform_point_set(std::size_t n, double side, Rng& rng) {
@@ -134,8 +135,7 @@ void check_uniform_point_set(std::size_t n, double side, Rng& rng) {
   const auto points = uniform_deployment(n, box, rng);
   EmstEngine<D> engine;
   const auto grid = engine.euclidean(points, box);
-  EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<D>::kDenseCutoff)
-      << "n=" << n << " side=" << side;
+  EXPECT_FALSE(engine.stats().dense_fallback) << "n=" << n << " side=" << side;
   const auto dense = euclidean_mst<D>(points);
   expect_value_identical(n, dense, grid);
   const auto reference = kruskal_reference_weights(points);
@@ -149,8 +149,8 @@ void check_uniform_point_set(std::size_t n, double side, Rng& rng) {
 template <int D>
 void check_uniform_configs() {
   Rng rng(0x9E3779B9u + static_cast<unsigned>(D));
-  // Sizes on both sides of kDenseCutoff, so both paths meet uniform inputs
-  // of every scale; at and above the cutoff the grid path must serve them.
+  // Sizes on both sides of kDenseCutoff: trees take the grid path at every
+  // size, and keys-only solves switch paths at the cutoff.
   constexpr std::size_t kCutoff = EmstEngine<D>::kDenseCutoff;
   for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{7}, std::size_t{31},
                         std::size_t{32}, std::size_t{33}, std::size_t{100}, kCutoff - 1,
@@ -188,8 +188,8 @@ TEST(EmstGrid, MatchesDenseOnClusteredConfigs) {
 }
 
 TEST(EmstGrid, CollinearAndDuplicatePointsAreHandled) {
-  // Collinear points with duplicates: many exactly-tied candidate edges. The
-  // small sets run the dense path, the sets of kGridN points the grid path.
+  // Collinear points with duplicates: many exactly-tied candidate edges, at
+  // a small n and at one above kDenseCutoff.
   constexpr std::size_t kGridN = 1000;
   static_assert(kGridN >= EmstEngine<2>::kDenseCutoff);
   for (const std::size_t n : {std::size_t{64}, kGridN}) {
@@ -202,7 +202,7 @@ TEST(EmstGrid, CollinearAndDuplicatePointsAreHandled) {
     EmstEngine<2> engine;
     expect_value_identical(points.size(), euclidean_mst<2>(points),
                            engine.euclidean(points, box));
-    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kDenseCutoff) << "n=" << n;
+    EXPECT_FALSE(engine.stats().dense_fallback) << "n=" << n;
   }
 
   // All points coincident: every MST edge has weight 0 (on the grid path
@@ -212,7 +212,7 @@ TEST(EmstGrid, CollinearAndDuplicatePointsAreHandled) {
     const Box2 box(20.0);
     EmstEngine<2> engine;
     const auto grid = engine.euclidean(coincident, box);
-    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kDenseCutoff) << "n=" << n;
+    EXPECT_FALSE(engine.stats().dense_fallback) << "n=" << n;
     ASSERT_EQ(grid.size(), coincident.size() - 1);
     for (const auto& edge : grid) EXPECT_EQ(edge.weight, 0.0);
     expect_value_identical(coincident.size(), euclidean_mst<2>(coincident), grid);
@@ -257,10 +257,8 @@ TEST(EmstGrid, TorusMatchesDenseTorusMetric3D) { check_torus_configs<3>(); }
 
 TEST(EmstGrid, TorusClusteredConfigsWrapAcrossBoundary) {
   // Clusters hugging opposite edges of the region: the torus MST must cross
-  // the wrap seam, which only the wrap-aware neighbor scan can see. Two
-  // clusters of 80 put n above kTorusDenseCutoff, so the grid path runs.
+  // the wrap seam, which only the wrap-aware neighbor scan can see.
   constexpr std::size_t kPerCluster = 80;
-  static_assert(2 * kPerCluster >= EmstEngine<2>::kTorusDenseCutoff);
   Rng rng(11);
   const double side = 100.0;
   std::vector<Point2> points;
@@ -316,10 +314,15 @@ TEST(EmstGrid, StatsReflectChosenPath) {
   Rng rng(5);
   const Box2 box(100.0);
 
+  // Below kDenseCutoff a tree still takes the grid; only the keys go dense.
   const auto tiny = uniform_deployment(EmstEngine<2>::kDenseCutoff - 1, box, rng);
   EmstEngine<2> engine;
   engine.euclidean(tiny, box);
+  EXPECT_FALSE(engine.stats().dense_fallback);
+  EXPECT_GE(engine.stats().rounds, 1u);
+  engine.prim_order_keys<1>({tiny});
   EXPECT_TRUE(engine.stats().dense_fallback);
+  EXPECT_EQ(engine.stats().rounds, 0u);
 
   const auto large = uniform_deployment(1024, box, rng);
   engine.euclidean(large, box);
@@ -346,96 +349,45 @@ std::vector<Point<D>> lattice_points(std::size_t n, std::size_t per_axis) {
   return points;
 }
 
-/// (weight, u, v) order, to compare trees as edge multisets.
-std::vector<WeightedEdge> by_weight_then_ids(std::span<const WeightedEdge> tree) {
-  std::vector<WeightedEdge> edges(tree.begin(), tree.end());
-  std::sort(edges.begin(), edges.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  });
-  return edges;
-}
-
-/// The dense path must return the reference's tree itself — the same
-/// (from, to) pairs with the same weight bits, since both break key ties
-/// toward the smallest vertex id — on top of the value identity every path
-/// owes (weights, spanning, order, component curve).
-void expect_same_tree_as_reference(std::size_t n, std::span<const WeightedEdge> reference,
-                                   std::span<const WeightedEdge> engine) {
-  expect_value_identical(n, reference, engine);
-  const auto expected = by_weight_then_ids(reference);
-  const auto actual = by_weight_then_ids(engine);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].u, actual[i].u) << "edge " << i;
-    EXPECT_EQ(expected[i].v, actual[i].v) << "edge " << i;
-    EXPECT_EQ(expected[i].weight, actual[i].weight) << "edge " << i;
-  }
-}
-
+/// Euclidean and torus trees of small and mid-sized sets, on uniform,
+/// lattice, coincident and collinear inputs, must equal the reference in
+/// weight multiset and component curve. The sizes straddle kDenseCutoff and
+/// the old per-D torus cutoffs (21, 73, 377) of a dense tree path.
 template <int D>
-void check_dense_trees_match_reference() {
+void check_trees_match_reference() {
   Rng rng(0xDE45Eu + static_cast<unsigned>(D));
   EmstEngine<D> engine;
-  for (const std::size_t n : {2u, 3u, 31u, 32u, 33u, 64u, 127u, 128u}) {
-    ASSERT_LT(n, EmstEngine<D>::kDenseCutoff);
+  for (const std::size_t n : {2u, 3u, 16u, 20u, 21u, 22u, 72u, 73u, 74u, 128u, 376u, 377u, 378u,
+                              896u, 897u}) {
     const auto per_axis = static_cast<std::size_t>(
         std::ceil(std::pow(static_cast<double>(n), 1.0 / static_cast<double>(D)) - 1e-9));
-    const double side = static_cast<double>(per_axis);
+    // The lattice fills the region up to one spacing short of the seam, and
+    // the collinear set, 1/16 apart on axis 0, does too when it is longer.
+    const double side = std::max(static_cast<double>(per_axis), static_cast<double>(n) / 16.0);
     const Box<D> box(side);
     const auto torus_d2 = [side](const Point<D>& a, const Point<D>& b) {
       return torus_squared_distance(a, b, side);
     };
+    std::vector<Point<D>> collinear(n, Point<D>{});
+    for (std::size_t i = 0; i < n; ++i) collinear[i].coords[0] = static_cast<double>(i) / 16.0;
+    for (std::size_t i = n; i > 1; --i) std::swap(collinear[i - 1], collinear[rng.next_u64() % i]);
     const std::vector<std::vector<Point<D>>> inputs = {
         uniform_deployment(n, box, rng), lattice_points<D>(n, per_axis),
-        std::vector<Point<D>>(n, Point<D>{})};
+        std::vector<Point<D>>(n, Point<D>{}), collinear};
     for (std::size_t input = 0; input < inputs.size(); ++input) {
       SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n << " input=" << input);
       const auto& points = inputs[input];
-      const auto euclidean = engine.euclidean(points, box);
-      EXPECT_TRUE(engine.stats().dense_fallback);
-      expect_same_tree_as_reference(n, euclidean_mst<D>(points), euclidean);
-      const auto torus = engine.torus(points, side);
-      const auto torus_reference = mst_with_metric<D>(points, torus_d2);
-      if (n < EmstEngine<D>::kTorusDenseCutoff) {
-        EXPECT_TRUE(engine.stats().dense_fallback);
-        expect_same_tree_as_reference(n, torus_reference, torus);
-      } else {
-        // The torus grid path: ties may pick another minimal tree.
-        EXPECT_FALSE(engine.stats().dense_fallback);
-        expect_value_identical(n, torus_reference, torus);
-      }
+      expect_value_identical(n, euclidean_mst<D>(points), engine.euclidean(points, box));
+      EXPECT_FALSE(engine.stats().dense_fallback);
+      expect_value_identical(n, mst_with_metric<D>(points, torus_d2), engine.torus(points, side));
+      EXPECT_FALSE(engine.stats().dense_fallback);
     }
   }
 }
 
-/// Uniform torus inputs just below and at the per-D torus cutoff take the
-/// dense and the grid path, and both give the reference weights.
-template <int D>
-void check_torus_cutoff() {
-  constexpr std::size_t kCutoff = EmstEngine<D>::kTorusDenseCutoff;
-  Rng rng(0x70205u + static_cast<unsigned>(D));
-  const double side = 50.0;
-  const auto torus_d2 = [side](const Point<D>& a, const Point<D>& b) {
-    return torus_squared_distance(a, b, side);
-  };
-  EmstEngine<D> engine;
-  for (const std::size_t n : {kCutoff - 1, kCutoff}) {
-    const auto points = uniform_deployment(n, Box<D>(side), rng);
-    const auto torus = engine.torus(points, side);
-    EXPECT_EQ(engine.stats().dense_fallback, n < kCutoff) << "D=" << D << " n=" << n;
-    expect_value_identical(n, mst_with_metric<D>(points, torus_d2), torus);
-  }
-}
-
-TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff1D) { check_torus_cutoff<1>(); }
-TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff2D) { check_torus_cutoff<2>(); }
-TEST(EmstGrid, TorusPathFollowsPerDimensionCutoff3D) { check_torus_cutoff<3>(); }
-
-TEST(EmstDense, TreeEqualsReferenceEdgeForEdge1D) { check_dense_trees_match_reference<1>(); }
-TEST(EmstDense, TreeEqualsReferenceEdgeForEdge2D) { check_dense_trees_match_reference<2>(); }
-TEST(EmstDense, TreeEqualsReferenceEdgeForEdge3D) { check_dense_trees_match_reference<3>(); }
+TEST(EmstGrid, TreesMatchReferenceWeightsAndCurves1D) { check_trees_match_reference<1>(); }
+TEST(EmstGrid, TreesMatchReferenceWeightsAndCurves2D) { check_trees_match_reference<2>(); }
+TEST(EmstGrid, TreesMatchReferenceWeightsAndCurves3D) { check_trees_match_reference<3>(); }
 
 /// Point set `kind` of n points in [0, side]^D: uniform, coincident pairs,
 /// collinear at equal gaps (shuffled), or all equal.

@@ -1,17 +1,17 @@
 // Differential harness pinning the mobile-trace engine to the test-only
-// reference MST (tests/support/reference_mst.hpp). run_mobile_trace solves
-// every step through its workspace's engine (TraceWorkspace::kinetic, one
-// EmstEngine::euclidean solve per step; the suite keeps the name of the
-// incremental repair that engine replaced). On every step of every
-// trajectory the engine's tree must equal the reference tree edge for edge,
-// with the same weight bits, and so must the breakpoint curve built from it.
-// Trajectories run on both sides of EmstEngine::kDenseCutoff, so the dense
-// Prim path and the grid path are both pinned; the sweep covers D in
-// {1, 2, 3}, waypoint and drunkard mobility and duplicate /
-// boundary-straddling configurations. run_mobile_trace itself is checked
-// against a trace rebuilt from per-step reference solves, and the golden
-// MTRM checksums are re-pinned here at 1 and 8 threads, next to one
-// run_mobile_trace digest above the cutoff.
+// reference MST (tests/support/reference_mst.hpp). A trace workspace's
+// engine (TraceWorkspace::kinetic; the suite keeps the name of the
+// incremental repair it replaced) solves a step's tree with one
+// EmstEngine::euclidean grid solve at every n. On every step of every
+// trajectory that tree must equal the reference tree edge for edge, with
+// the same weight bits, where no weights tie, and by weight bits alone
+// where they may; the breakpoint curve built from it must match too. The
+// sweep covers both sides of EmstEngine::kDenseCutoff, D in {1, 2, 3},
+// waypoint and drunkard mobility and duplicate / boundary-straddling
+// configurations. run_mobile_trace, whose dense steps take the Prim-order
+// route, is checked against a trace rebuilt from per-step reference
+// solves, and the golden MTRM checksums are re-pinned here at 1 and 8
+// threads, next to one run_mobile_trace digest above the cutoff.
 
 #include <gtest/gtest.h>
 
@@ -120,10 +120,9 @@ constexpr std::size_t kCutoff = EmstEngine<2>::kDenseCutoff;
 static_assert(kCutoff == EmstEngine<1>::kDenseCutoff && kCutoff == EmstEngine<3>::kDenseCutoff);
 static_assert(kCutoff <= 900, "raise the grid-path node counts below with the cutoff");
 
-/// Drives one mobility trajectory through a trace workspace's engine, the
-/// way run_mobile_trace does, comparing every step with the reference.
-/// Asserts that every step took the path n selects, and returns the
-/// engine's counters.
+/// Drives one mobility trajectory through a trace workspace's engine,
+/// comparing every step with the reference. Asserts that every step took
+/// the grid path, and returns the engine's counters.
 template <int D>
 KineticStats run_differential_trace(std::size_t n, double side, const MobilityConfig& mobility,
                                     std::size_t steps, std::uint64_t seed) {
@@ -138,7 +137,7 @@ KineticStats run_differential_trace(std::size_t n, double side, const MobilityCo
     if (s > 0) model->step(positions, rng);
     const auto reference = euclidean_mst<D>(positions);
     const auto tree = s == 0 ? ws.kinetic.start(positions, box) : ws.kinetic.advance(positions);
-    EXPECT_EQ(ws.kinetic.stats().dense_mode, n < kCutoff) << "step " << s;
+    EXPECT_FALSE(ws.kinetic.stats().dense_mode) << "step " << s;
     expect_trees_identical(reference, tree, s);
     expect_curves_identical(n, reference, tree, s);
   }
@@ -207,8 +206,8 @@ TEST(KineticDifferential, PaperMobilityDefaultsMatchBatch2D) {
       run_differential_trace<2>(160, 256.0, MobilityConfig::paper_waypoint(256.0), 150, 31);
   const auto drunkard =
       run_differential_trace<2>(160, 256.0, MobilityConfig::paper_drunkard(256.0), 150, 32);
-  EXPECT_TRUE(waypoint.dense_mode);
-  EXPECT_TRUE(drunkard.dense_mode);
+  EXPECT_EQ(waypoint.full_rebuilds, 150u);
+  EXPECT_EQ(drunkard.full_rebuilds, 150u);
   // The same waypoint defaults at n = 1024 in the paper's l = 1024 region,
   // seed 1, 300 steps: the largest trace of this suite, all on the grid path.
   const auto large =
@@ -231,17 +230,17 @@ TEST(KineticDifferential, PaperFigureShapesMatchBatch2D) {
         n, side, MobilityConfig::paper_waypoint(side), steps, seed + 1);
     const KineticStats drunkard = run_differential_trace<2>(
         n, side, MobilityConfig::paper_drunkard(side), steps, seed + 2);
-    EXPECT_EQ(waypoint.dense_mode, n < kCutoff) << "side " << side;
-    EXPECT_EQ(drunkard.dense_mode, n < kCutoff) << "side " << side;
+    EXPECT_EQ(waypoint.full_rebuilds, steps) << "side " << side;
+    EXPECT_EQ(drunkard.full_rebuilds, steps) << "side " << side;
   }
 }
 
 TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
   // Coincident nodes (zero-weight edges, maximal tie pressure on the
   // (d2, u, v) order) and nodes pinned to the region boundary, moving on and
-  // off it, on both paths. Ties let the grid path pick a different minimal
-  // tree than the reference, so the grid-path trees are compared by weight
-  // bits and curves.
+  // off it, on both sides of kDenseCutoff. Ties let the grid path pick a
+  // different minimal tree than the reference, so the trees are compared by
+  // weight bits and curves.
   for (const std::size_t pairs : {std::size_t{60}, std::size_t{480}}) {
     const double side = 50.0;
     const Box2 box(side);
@@ -271,8 +270,8 @@ TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
       }
       const auto reference = euclidean_mst<2>(positions);
       const auto tree = s == 0 ? ws.kinetic.start(positions, box) : ws.kinetic.advance(positions);
-      EXPECT_EQ(ws.kinetic.stats().dense_mode, n < kCutoff);
-      expect_trees_identical(reference, tree, s, /*edge_for_edge=*/n < kCutoff);
+      EXPECT_FALSE(ws.kinetic.stats().dense_mode);
+      expect_trees_identical(reference, tree, s, /*edge_for_edge=*/false);
       expect_curves_identical(n, reference, tree, s);
     }
   }
