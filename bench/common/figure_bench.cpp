@@ -85,7 +85,7 @@ int figure_main(int argc, char** argv, int (*run)(int, char**)) {
 }
 
 std::unique_ptr<MtrmSweepExecutor> make_sweep_executor(const FigureOptions& options) {
-  if (!options.campaign) return nullptr;
+  if (!options.campaign) return std::make_unique<InProcessSweepExecutor>();
   if (options.distributed) {
     return std::make_unique<service::DistributedCampaignRunner>(options.campaign_name,
                                                                 options.drain_options);
@@ -152,51 +152,8 @@ std::string l_label(double l) {
   return std::to_string(static_cast<int>(l));
 }
 
-namespace {
-
-/// One measured figure data point: the stationary reference (when the figure
-/// normalizes by it) and the MTRM solution.
-struct FigurePoint {
-  double rs = 0.0;
-  MtrmResult result;
-};
-
-/// Fans the l-sweep data points out through the parallel engine: point i
-/// draws from the order-independent substream of (options.seed, i), so the
-/// table is bit-identical at any thread count, and each point's iteration
-/// fan-out nests inside the same pool.
-std::vector<FigurePoint> solve_l_sweep(const FigureOptions& options, bool drunkard,
-                                       bool with_stationary_reference) {
-  const ScaleParams scale = options.scale();
-  const auto l_values = experiments::figure_l_values();
-  return parallel_for_trials(
-      l_values.size(), options.seed, [&](std::size_t li, Rng& point_rng) {
-        const double l = l_values[li];
-        const std::size_t n = experiments::paper_node_count(l);
-
-        FigurePoint point;
-        if (with_stationary_reference) {
-          point.rs = stationary_reference_range(l, n, scale.stationary_trials,
-                                                options.rs_quantile, point_rng);
-        }
-        MtrmConfig config = drunkard ? experiments::drunkard_experiment(l, options.preset)
-                                     : experiments::waypoint_experiment(l, options.preset);
-        apply_scale(config, options);
-        point.result = solve_mtrm<2>(config, point_rng);
-        return point;
-      });
-}
-
-/// Campaign-mode l-sweep: the MTRM solves route through the resumable
-/// runner via experiments::solve_mtrm_sweep, and the stationary reference
-/// draws from its own substream family (offset by the point count so it
-/// never collides with the sweep's per-point streams). Campaign-mode
-/// numbers therefore differ from legacy-mode ones for the figures that
-/// normalize by r_stationary — both are valid draws of the same estimator;
-/// only the campaign path is resumable (DESIGN.md §11).
-std::vector<FigurePoint> solve_l_sweep_campaign(const FigureOptions& options, bool drunkard,
-                                                bool with_stationary_reference,
-                                                MtrmSweepExecutor& executor) {
+LSweep solve_l_sweep(const FigureOptions& options, bool drunkard,
+                     bool with_stationary_reference, MtrmSweepExecutor& executor) {
   const ScaleParams scale = options.scale();
   const auto l_values = experiments::figure_l_values();
 
@@ -208,47 +165,34 @@ std::vector<FigurePoint> solve_l_sweep_campaign(const FigureOptions& options, bo
     apply_scale(config, options);
     configs.push_back(config);
   }
-  const auto results = experiments::solve_mtrm_sweep(configs, options.seed, &executor);
 
-  std::vector<FigurePoint> points(l_values.size());
-  for (std::size_t li = 0; li < l_values.size(); ++li) {
-    if (with_stationary_reference) {
+  LSweep sweep;
+  sweep.results = experiments::solve_mtrm_sweep(configs, options.seed, &executor);
+  if (with_stationary_reference) {
+    for (std::size_t li = 0; li < l_values.size(); ++li) {
       Rng rs_rng = substream(options.seed, l_values.size() + li);
-      points[li].rs = stationary_reference_range(l_values[li],
-                                                 experiments::paper_node_count(l_values[li]),
-                                                 scale.stationary_trials, options.rs_quantile,
-                                                 rs_rng);
+      sweep.rs.push_back(stationary_reference_range(
+          l_values[li], experiments::paper_node_count(l_values[li]), scale.stationary_trials,
+          options.rs_quantile, rs_rng));
     }
-    points[li].result = results[li];
   }
-  return points;
+  return sweep;
 }
-
-std::vector<FigurePoint> solve_l_sweep_dispatch(const FigureOptions& options, bool drunkard,
-                                                bool with_stationary_reference,
-                                                MtrmSweepExecutor* executor) {
-  if (executor != nullptr) {
-    return solve_l_sweep_campaign(options, drunkard, with_stationary_reference, *executor);
-  }
-  return solve_l_sweep(options, drunkard, with_stationary_reference);
-}
-
-}  // namespace
 
 void run_ratio_figure(const FigureOptions& options, bool drunkard,
                       const std::string& title, const std::vector<PaperSeries>& paper,
-                      MtrmSweepExecutor* executor) {
+                      MtrmSweepExecutor& executor) {
   TextTable table({"l", "n", "r_stationary", "r100/rs", "paper", "r90/rs", "paper",
                    "r10/rs", "paper", "r0/rs", "paper"});
 
   const auto l_values = experiments::figure_l_values();
-  const auto points =
-      solve_l_sweep_dispatch(options, drunkard, /*with_stationary_reference=*/true, executor);
+  const LSweep sweep =
+      solve_l_sweep(options, drunkard, /*with_stationary_reference=*/true, executor);
   for (std::size_t li = 0; li < l_values.size(); ++li) {
     const double l = l_values[li];
     const std::size_t n = experiments::paper_node_count(l);
-    const double rs = points[li].rs;
-    const MtrmResult& result = points[li].result;
+    const double rs = sweep.rs[li];
+    const MtrmResult& result = sweep.results[li];
 
     table.add_row({l_label(l), std::to_string(n), TextTable::num(rs, 1),
                    TextTable::num(result.range_for_time[0].mean() / rs, 3),
@@ -265,16 +209,16 @@ void run_ratio_figure(const FigureOptions& options, bool drunkard,
 
 void run_component_figure(const FigureOptions& options, bool drunkard,
                           const std::string& title, const std::vector<PaperSeries>& paper,
-                          MtrmSweepExecutor* executor) {
+                          MtrmSweepExecutor& executor) {
   TextTable table({"l", "n", "LCC@r90", "paper", "LCC@r10", "paper", "LCC@r0", "paper"});
 
   const auto l_values = experiments::figure_l_values();
-  const auto points =
-      solve_l_sweep_dispatch(options, drunkard, /*with_stationary_reference=*/false, executor);
+  const LSweep sweep =
+      solve_l_sweep(options, drunkard, /*with_stationary_reference=*/false, executor);
   for (std::size_t li = 0; li < l_values.size(); ++li) {
     const double l = l_values[li];
     const std::size_t n = experiments::paper_node_count(l);
-    const MtrmResult& result = points[li].result;
+    const MtrmResult& result = sweep.results[li];
 
     table.add_row({l_label(l), std::to_string(n),
                    TextTable::num(result.lcc_at_range_for_time[1].mean(), 3),

@@ -73,11 +73,11 @@ std::optional<FigureOptions> parse_figure_options(int argc, const char* const* a
 /// ConfigError escaping it into a one-line message and exit code 1.
 int figure_main(int argc, char** argv, int (*run)(int, char**));
 
-/// Builds the sweep executor the parsed options ask for: nullptr (legacy
-/// in-process sweep), a campaign::CampaignRunner (--campaign), or a
-/// service::DistributedCampaignRunner (--distributed) that cooperatively
-/// drains the same store alongside other workers. All three produce
-/// bit-identical campaign artifacts; see DESIGN.md §16.
+/// Builds the sweep executor the parsed options ask for: an
+/// InProcessSweepExecutor (no campaign flag), a campaign::CampaignRunner
+/// (--campaign), or a service::DistributedCampaignRunner (--distributed)
+/// that cooperatively drains the same store alongside other workers. All
+/// three produce bit-identical results; see DESIGN.md §11 and §16.
 std::unique_ptr<MtrmSweepExecutor> make_sweep_executor(const FigureOptions& options);
 
 /// r_stationary for n nodes in [0, l]^2 (DESIGN.md convention 1): the
@@ -106,21 +106,32 @@ struct PaperSeries {
   std::array<double, 4> values;
 };
 
+/// One solved l-sweep of Figures 2-6 (l in {256, 1K, 4K, 16K}).
+struct LSweep {
+  /// r_stationary per l; empty unless the reference was asked for.
+  std::vector<double> rs;
+  std::vector<MtrmResult> results;
+};
+
+/// Solves the l-sweep under the waypoint (or drunkard) experiment through
+/// experiments::solve_mtrm_sweep on `executor`, so point i's MTRM result
+/// draws from substream(options.seed, i) whichever executor runs it. With
+/// `with_stationary_reference`, r_stationary for l_i draws from
+/// substream(options.seed, |L| + i), a stream no sweep point uses.
+LSweep solve_l_sweep(const FigureOptions& options, bool drunkard,
+                     bool with_stationary_reference, MtrmSweepExecutor& executor);
+
 /// Figures 2-3 runner: the ratios r100/r90/r10/r0 over r_stationary for
 /// l in {256, 1K, 4K, 16K} under the given mobility configuration factory.
 /// `paper` supplies the digitized reference series in the same order.
-/// With a non-null `executor` the MTRM sweep goes through that runner
-/// (resumable campaign or distributed drain — make_sweep_executor); the
-/// stationary reference then draws from its own substream, so campaign-mode
-/// numbers differ from (equally valid) legacy-mode ones — see DESIGN.md §11.
 void run_ratio_figure(const FigureOptions& options, bool drunkard,
                       const std::string& title, const std::vector<PaperSeries>& paper,
-                      MtrmSweepExecutor* executor = nullptr);
+                      MtrmSweepExecutor& executor);
 
 /// Figures 4-5 runner: the mean largest-connected-component fraction at
 /// r90 / r10 / r0 for the same sweep.
 void run_component_figure(const FigureOptions& options, bool drunkard,
                           const std::string& title, const std::vector<PaperSeries>& paper,
-                          MtrmSweepExecutor* executor = nullptr);
+                          MtrmSweepExecutor& executor);
 
 }  // namespace manet::bench

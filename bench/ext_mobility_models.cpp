@@ -12,6 +12,9 @@
 // two if the paper's claim generalizes; its "quantity of mobility" is higher
 // (no pause time), so mild upward deviations of r100 are expected.
 
+#include <array>
+#include <vector>
+
 #include "common/figure_bench.hpp"
 
 namespace {
@@ -57,19 +60,24 @@ int run(int argc, char** argv) {
       stationary_reference_range(l, n, scale.stationary_trials, options->rs_quantile,
                                  stationary_rng);
 
-  TextTable table({"model", "r100/rs", "r90/rs", "r10/rs", "r0/rs", "rl50/rs"});
-  for (MobilityKind kind : {MobilityKind::kRandomWaypoint, MobilityKind::kDrunkard,
-                            MobilityKind::kRandomDirection}) {
-    Rng point_rng = rng.split();
+  const std::array kinds = {MobilityKind::kRandomWaypoint, MobilityKind::kDrunkard,
+                            MobilityKind::kRandomDirection};
+  std::vector<MtrmConfig> configs;
+  for (const MobilityKind kind : kinds) {
     MtrmConfig config;
     config.node_count = n;
     config.side = l;
     config.mobility = model_config(kind, l);
     config.component_fractions = {0.5};
     apply_scale(config, *options);
-    const MtrmResult result = solve_mtrm<2>(config, point_rng);
+    configs.push_back(config);
+  }
+  const auto results = experiments::solve_mtrm_sweep(configs, options->seed);
 
-    table.add_row({mobility_kind_name(kind),
+  TextTable table({"model", "r100/rs", "r90/rs", "r10/rs", "r0/rs", "rl50/rs"});
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const MtrmResult& result = results[i];
+    table.add_row({mobility_kind_name(kinds[i]),
                    TextTable::num(result.range_for_time[0].mean() / rs, 3),
                    TextTable::num(result.range_for_time[1].mean() / rs, 3),
                    TextTable::num(result.range_for_time[2].mean() / rs, 3),

@@ -30,8 +30,7 @@ int run(int argc, char** argv) {
   };
   const auto executor = make_sweep_executor(*options);
   run_ratio_figure(*options, /*drunkard=*/false,
-                   "Figure 2 — r_x / r_stationary vs l (random waypoint)", paper,
-                   executor.get());
+                   "Figure 2 — r_x / r_stationary vs l (random waypoint)", paper, *executor);
   return 0;
 }
 

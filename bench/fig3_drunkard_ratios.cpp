@@ -26,8 +26,9 @@ int run(int argc, char** argv) {
       {"r10/rs", {0.41, 0.43, 0.45, 0.48}},
       {"r0/rs", {0.26, 0.29, 0.32, 0.36}},
   };
+  const auto executor = make_sweep_executor(*options);
   run_ratio_figure(*options, /*drunkard=*/true,
-                   "Figure 3 — r_x / r_stationary vs l (drunkard)", paper);
+                   "Figure 3 — r_x / r_stationary vs l (drunkard)", paper, *executor);
   return 0;
 }
 

@@ -26,9 +26,10 @@ int run(int argc, char** argv) {
       {"LCC@r10", {0.75, 0.82, 0.87, 0.90}},
       {"LCC@r0", {0.45, 0.48, 0.50, 0.50}},
   };
+  const auto executor = make_sweep_executor(*options);
   run_component_figure(*options, /*drunkard=*/false,
                        "Figure 4 — mean largest-component fraction (random waypoint)",
-                       paper);
+                       paper, *executor);
   return 0;
 }
 

@@ -22,8 +22,10 @@ int run(int argc, char** argv) {
       {"LCC@r10", {0.74, 0.81, 0.86, 0.90}},
       {"LCC@r0", {0.44, 0.47, 0.50, 0.50}},
   };
+  const auto executor = make_sweep_executor(*options);
   run_component_figure(*options, /*drunkard=*/true,
-                       "Figure 5 — mean largest-component fraction (drunkard)", paper);
+                       "Figure 5 — mean largest-component fraction (drunkard)", paper,
+                       *executor);
   return 0;
 }
 

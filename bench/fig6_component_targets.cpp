@@ -25,24 +25,19 @@ int run(int argc, char** argv) {
       {"rl50/rs", {0.35, 0.38, 0.39, 0.40}},
   };
 
-  Rng rng(options->seed);
-  const ScaleParams scale = options->scale();
+  // The Figure 2 sweep: the same configs, streams and r_stationary, so
+  // Figures 2 and 6 read one set of simulations, as in the paper.
+  const auto executor = make_sweep_executor(*options);
+  const LSweep sweep =
+      solve_l_sweep(*options, /*drunkard=*/false, /*with_stationary_reference=*/true, *executor);
   TextTable table({"l", "n", "rl90/rs", "paper", "rl75/rs", "paper", "rl50/rs", "paper"});
 
   const auto l_values = experiments::figure_l_values();
   for (std::size_t li = 0; li < l_values.size(); ++li) {
     const double l = l_values[li];
-    const std::size_t n = experiments::paper_node_count(l);
-
-    Rng point_rng = rng.split();
-    const double rs = stationary_reference_range(l, n, scale.stationary_trials, options->rs_quantile, point_rng);
-
-    MtrmConfig config = experiments::waypoint_experiment(l, options->preset);
-    apply_scale(config, *options);
-    const MtrmResult result = solve_mtrm<2>(config, point_rng);
-
-    const std::string l_text = l_label(l);
-    table.add_row({l_text, std::to_string(n),
+    const double rs = sweep.rs[li];
+    const MtrmResult& result = sweep.results[li];
+    table.add_row({l_label(l), std::to_string(experiments::paper_node_count(l)),
                    TextTable::num(result.range_for_component[0].mean() / rs, 3),
                    TextTable::num(paper[0].values[li], 2),
                    TextTable::num(result.range_for_component[1].mean() / rs, 3),

@@ -9,7 +9,9 @@
 #      served from the content-addressed store,
 #   3. run the same campaign uninterrupted in a separate directory pair,
 #   4. assert the killed-and-resumed run's stdout table AND result.json are
-#      byte-identical to the uninterrupted run's.
+#      byte-identical to the uninterrupted run's,
+#   5. run fig7 with no campaign flags (the in-process sweep) and assert its
+#      table is byte-identical to the uninterrupted campaign run's.
 #
 # Usage: scripts/campaign_smoke.sh <path-to-fig7_pstationary> [workdir]
 set -euo pipefail
@@ -80,5 +82,12 @@ cmp "${kill_dir}/result.json" "${ref_dir}/result.json" || {
   exit 1
 }
 
+# 5. The in-process sweep prints the campaign's table.
+"${bin}" --preset quick --csv > "${work}/in-process.out" 2> "${work}/in-process.err"
+cmp "${work}/in-process.out" "${work}/reference.out" || {
+  echo "FAIL: the in-process table differs from the campaign run's" >&2
+  exit 1
+}
+
 echo "campaign smoke: OK (killed at 30, resumed with ${cache_hits} cache hits," \
-  "bit-identical to the uninterrupted run)" >&2
+  "bit-identical to the uninterrupted and the in-process runs)" >&2

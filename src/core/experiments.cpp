@@ -41,28 +41,25 @@ ScaleParams scale_for(Preset preset) {
   throw ConfigError("unknown preset");
 }
 
+std::vector<MtrmResult> InProcessSweepExecutor::run_points(std::vector<MtrmSweepPoint> points) {
+  // Each point carries its own root; the engine's per-point stream goes unused.
+  return parallel_for_trials(points.size(), 0, [&points](std::size_t point, Rng&) {
+    return solve_mtrm_point<2>(points[point].config, points[point].trial_root);
+  });
+}
+
 namespace experiments {
 
 std::vector<MtrmResult> solve_mtrm_sweep(const std::vector<MtrmConfig>& configs,
                                          std::uint64_t seed,
                                          MtrmSweepExecutor* executor) {
-  if (executor != nullptr) {
-    // Same derivation as the legacy path below: point i's substream is
-    // substream(seed, i) and solve_mtrm consumes exactly one draw from it
-    // for the trial root — so the executor sees the identical roots and its
-    // results are bit-identical to the in-process sweep.
-    std::vector<MtrmSweepPoint> points;
-    points.reserve(configs.size());
-    for (std::size_t point = 0; point < configs.size(); ++point) {
-      Rng point_rng = substream(seed, point);
-      points.push_back(MtrmSweepPoint{configs[point], point_rng.next_u64()});
-    }
-    return executor->run_points(std::move(points));
+  std::vector<MtrmSweepPoint> points;
+  points.reserve(configs.size());
+  for (std::size_t point = 0; point < configs.size(); ++point) {
+    points.push_back(MtrmSweepPoint{configs[point], substream(seed, point).next_u64()});
   }
-  return parallel_for_trials(configs.size(), seed,
-                             [&configs](std::size_t point, Rng& point_rng) {
-                               return solve_mtrm<2>(configs[point], point_rng);
-                             });
+  InProcessSweepExecutor in_process;
+  return (executor != nullptr ? *executor : in_process).run_points(std::move(points));
 }
 
 std::vector<double> figure_l_values() { return {256.0, 1024.0, 4096.0, 16384.0}; }

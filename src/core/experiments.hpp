@@ -41,12 +41,12 @@ struct MtrmSweepPoint {
   std::uint64_t trial_root = 0;
 };
 
-/// Strategy seam for executing a figure sweep's data points. The default
-/// (in-process) path lives in experiments::solve_mtrm_sweep; the campaign
-/// runner (src/campaign/campaign.hpp) implements this interface to add
-/// crash-safe persistence and resume on top of the identical per-point
-/// computation. Implementations must return results in point order,
-/// bit-identical to the in-process path.
+/// Strategy seam for executing a figure sweep's data points. Three
+/// implementations: InProcessSweepExecutor below; the campaign runner
+/// (src/campaign/campaign.hpp), which adds crash-safe persistence and resume
+/// on top of the identical per-point computation; and the distributed drain
+/// (src/service/drain.hpp). Implementations must return results in point
+/// order, each bit-identical to solve_mtrm_point<2>(config, trial_root).
 class MtrmSweepExecutor {
  public:
   MtrmSweepExecutor() = default;
@@ -57,21 +57,24 @@ class MtrmSweepExecutor {
   virtual std::vector<MtrmResult> run_points(std::vector<MtrmSweepPoint> points) = 0;
 };
 
+/// Solves the points in this process: they fan out through the
+/// deterministic parallel engine (support/parallel.hpp) and each point's
+/// iteration fan-out nests inside the same thread pool, so a sweep is
+/// bit-identical at any thread count.
+class InProcessSweepExecutor final : public MtrmSweepExecutor {
+ public:
+  std::vector<MtrmResult> run_points(std::vector<MtrmSweepPoint> points) override;
+};
+
 /// Experiment definitions mirroring the paper's Section 4 setups.
 namespace experiments {
 
-/// Solves one MTRM experiment per config — a figure's data points — through
-/// the deterministic parallel engine (support/parallel.hpp). Data point i
-/// draws from the order-independent substream of (seed, i) and the results
-/// come back in config order, so a sweep is bit-identical at any thread
-/// count; the per-point iteration fan-out nests inside the same thread pool.
-///
-/// When `executor` is non-null the sweep is *registered* with it instead of
-/// being solved inline: the same (seed, i) substream roots are derived and
-/// handed over as MtrmSweepPoints, so e.g. a campaign-backed run returns
-/// bit-identical results to the legacy one-shot path (verified by
-/// tests/campaign_test.cpp). Null keeps the legacy path, which remains the
-/// default throughout the figure drivers.
+/// Solves one MTRM experiment per config — a figure's data points. Point i's
+/// trial root is the first draw of substream(seed, i), the one rule every
+/// figure sweep derives its streams by; the points then run on `executor`,
+/// and a null `executor` means an InProcessSweepExecutor. Results come back
+/// in config order and are bit-identical across executors
+/// (tests/campaign_test.cpp, tests/distributed_drain_test.cpp).
 std::vector<MtrmResult> solve_mtrm_sweep(const std::vector<MtrmConfig>& configs,
                                          std::uint64_t seed,
                                          MtrmSweepExecutor* executor = nullptr);

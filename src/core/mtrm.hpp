@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -142,26 +143,30 @@ std::vector<double> flatten_mtrm_result(const MtrmResult& result);
 std::vector<std::string> flatten_mtrm_labels(std::size_t time_fraction_count,
                                              std::size_t component_fraction_count);
 
-/// Solves MTRM by simulation: runs `iterations` independent mobile traces and
-/// extracts every requested range exactly from the per-step critical radii
-/// and component curves (DESIGN.md §2).
-///
-/// Iterations run through the deterministic parallel engine
-/// (support/parallel.hpp): one draw from `rng` seeds an order-independent
-/// substream per iteration, the iterations fan out over up to
-/// `MANET_THREADS` threads, and the per-iteration outcomes are folded into
-/// the RunningStats in iteration order — so the result is bit-identical at
-/// any thread count, and `rng` always advances by exactly one draw.
+/// Solves one MTRM point from its 64-bit trial root: iteration i runs a
+/// mobile trace on substream(trial_root, i), the iterations fan out over up
+/// to `MANET_THREADS` threads (support/parallel.hpp), and the per-iteration
+/// outcomes are folded in iteration order, so the result is a pure function
+/// of (config, trial_root), bit-identical at any thread count. The body of
+/// solve_mtrm and of the in-process sweep executor
+/// (core/experiments.hpp).
 template <int D>
-MtrmResult solve_mtrm(const MtrmConfig& config, Rng& rng) {
+MtrmResult solve_mtrm_point(const MtrmConfig& config, std::uint64_t trial_root) {
   config.validate();
-  const std::uint64_t trial_root = rng.next_u64();
-
   const auto outcomes = parallel_for_trials(
       config.iterations, trial_root, [&config](std::size_t, Rng& iteration_rng) {
         return run_mtrm_iteration<D>(config, iteration_rng);
       });
   return fold_mtrm_outcomes(config, outcomes);
+}
+
+/// Solves MTRM by simulation: runs `iterations` independent mobile traces and
+/// extracts every requested range exactly from the per-step critical radii
+/// and component curves (DESIGN.md §2). One draw from `rng` is the trial
+/// root of solve_mtrm_point, so `rng` always advances by exactly one draw.
+template <int D>
+MtrmResult solve_mtrm(const MtrmConfig& config, Rng& rng) {
+  return solve_mtrm_point<D>(config, rng.next_u64());
 }
 
 }  // namespace manet

@@ -3,7 +3,6 @@
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 
 namespace manet {
 
@@ -40,33 +39,6 @@ BisectionResult bisect_min_range(const BisectionOptions& options,
   evaluations.add(result.evaluations);
   result.range = hi;
   return result;
-}
-
-void McPredicateOptions::validate() const {
-  MANET_EXPECTS(trials > 0);
-  MANET_EXPECTS(target_mean >= 0.0 && target_mean <= 1.0);
-}
-
-BisectionResult bisect_min_range_mc(const BisectionOptions& options,
-                                    const McPredicateOptions& mc,
-                                    const TrialStatistic& statistic) {
-  mc.validate();
-  static metrics::Counter mc_trials = metrics::counter("threshold.mc_trials");
-  // The evaluation index keys each candidate's substream root, so the
-  // randomness a candidate sees depends only on *when in the search* it is
-  // evaluated — which bisection fixes — never on thread scheduling.
-  std::size_t evaluation = 0;
-  return bisect_min_range(options, [&](double range) {
-    mc_trials.add(mc.trials);
-    const std::uint64_t evaluation_root = substream_seed(mc.seed, evaluation++);
-    const double sum = parallel_reduce_trials(
-        mc.trials, evaluation_root,
-        [&statistic, range](std::size_t trial, Rng& trial_rng) {
-          return statistic(range, trial, trial_rng);
-        },
-        0.0, [](double acc, double value) { return acc + value; });
-    return sum / static_cast<double>(mc.trials) >= mc.target_mean;
-  });
 }
 
 }  // namespace manet

@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-
-#include "support/rng.hpp"
 
 namespace manet {
 
@@ -34,40 +31,5 @@ struct BisectionResult {
 /// Requires lo < hi, tolerance > 0 and satisfied(hi) == true (checked).
 BisectionResult bisect_min_range(const BisectionOptions& options,
                                  const std::function<bool(double)>& satisfied);
-
-/// A Monte-Carlo predicate for bisect_min_range_mc: the per-trial statistic
-/// (e.g. 1.0 when this trial's deployment is connected at `range`, else 0.0)
-/// evaluated on the trial's own substream.
-using TrialStatistic = std::function<double(double range, std::size_t trial, Rng& rng)>;
-
-/// Options of the Monte-Carlo predicate: the candidate range satisfies the
-/// search when the mean of `trials` statistics reaches `target_mean`.
-struct McPredicateOptions {
-  std::size_t trials = 100;
-  std::uint64_t seed = Rng::kDefaultSeed;
-  double target_mean = 0.9;
-
-  /// Throws ContractViolation when inconsistent (trials == 0).
-  void validate() const;
-};
-
-/// Bisects over a predicate that is itself a trial average — the paper's
-/// simulate-per-candidate-range methodology, batched through the
-/// deterministic parallel engine (support/parallel.hpp).
-///
-/// At the k-th predicate evaluation (candidate range r), the engine derives
-/// a per-evaluation root `substream_seed(mc.seed, k)` and evaluates
-/// `statistic(r, trial, rng_trial)` over `mc.trials` order-independent
-/// substreams in parallel, summing the statistics in trial order. The
-/// predicate holds when `sum / trials >= mc.target_mean`. Because the trial
-/// fan-out reduces in trial order and the evaluation index (not wall-clock
-/// scheduling) keys the substreams, the whole search — every predicate
-/// decision and the final range — is bit-identical at any thread count.
-///
-/// Requirements of bisect_min_range apply; the predicate must hold at
-/// options.hi (checked).
-BisectionResult bisect_min_range_mc(const BisectionOptions& options,
-                                    const McPredicateOptions& mc,
-                                    const TrialStatistic& statistic);
 
 }  // namespace manet

@@ -29,11 +29,12 @@ namespace manet {
 ///  2. **Sharding**: trial indices are split into at most `threads`
 ///     contiguous chunks dispatched to a fixed-size pool; a chunk is just a
 ///     serial for-loop over its indices.
-///  3. **Ordered reduction**: per-trial results are materialized into a
-///     vector slot per trial and folded in trial-index order on the calling
-///     thread after the batch completes — so even non-commutative /
-///     non-associative reducers (floating-point sums included) see exactly
-///     the serial evaluation order.
+///  3. **Ordered results**: per-trial results are materialized into a
+///     vector slot per trial and returned in trial-index order after the
+///     batch completes — so a caller that folds them in that order (e.g.
+///     fold_mtrm_outcomes) sees exactly the serial evaluation order, even
+///     with non-commutative / non-associative reducers (floating-point sums
+///     included).
 ///
 /// The thread count comes from, in priority order: the per-call
 /// `ParallelOptions::threads`, the programmatic set_max_parallelism()
@@ -61,7 +62,7 @@ std::size_t max_parallelism() noexcept;
 /// `--threads` flags; not synchronized with in-flight batches.
 void set_max_parallelism(std::size_t threads) noexcept;
 
-/// Per-call knobs for parallel_for_trials / parallel_reduce_trials.
+/// Per-call knobs for parallel_for_trials.
 struct ParallelOptions {
   /// Concurrent runners for this call; 0 = max_parallelism().
   std::size_t threads = 0;
@@ -146,26 +147,6 @@ auto parallel_for_trials(std::size_t trials, std::uint64_t seed, Fn&& fn,
     results.push_back(std::move(*slots[trial]));
   }
   return results;
-}
-
-/// Ordered Monte-Carlo reduction: evaluates the trials exactly like
-/// parallel_for_trials and folds them on the calling thread in strict
-/// trial-index order:
-///
-///   acc = reduce(std::move(acc), result_0); acc = reduce(std::move(acc), result_1); ...
-///
-/// Because the fold is the serial fold, the reducer may be non-commutative
-/// and non-associative (floating-point accumulation, order statistics,
-/// stateful merges) and still produce the bit-identical serial answer.
-template <typename Fn, typename T, typename Reduce>
-T parallel_reduce_trials(std::size_t trials, std::uint64_t seed, Fn&& fn, T init,
-                         Reduce&& reduce, const ParallelOptions& options = {}) {
-  auto results = parallel_for_trials(trials, seed, std::forward<Fn>(fn), options);
-  T acc = std::move(init);
-  for (auto& result : results) {
-    acc = reduce(std::move(acc), std::move(result));
-  }
-  return acc;
 }
 
 }  // namespace manet

@@ -195,41 +195,28 @@ double EmstEngine<D>::max_nearest_neighbor_range(std::span<const Point<D>> point
   if (n <= 1) return 0.0;
   stats_ = {};
 
-  nn2_.assign(n, kInf);
-  if (n < kNearestNeighborDenseCutoff) {
-    stats_.dense_fallback = true;
-    emst_metrics().dense.increment();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double d2 = squared_distance(points[i], points[j]);
-        nn2_[i] = std::min(nn2_[i], d2);
-        nn2_[j] = std::min(nn2_[j], d2);
-      }
+  const double side = box.side();
+  const double r_max = side * std::sqrt(static_cast<double>(D));
+  double radius = std::min(initial_radius(n, side), r_max);
+  for (;;) {
+    ++stats_.rounds;
+    emst_metrics().rounds.increment();
+    grid_.rebuild(points, box, radius);
+    emst_metrics().rebuilds.increment();
+    nn2_.assign(n, kInf);
+    grid_.for_each_pair_within(radius, [this](std::size_t i, std::size_t j, double d2) {
+      nn2_[i] = std::min(nn2_[i], d2);
+      nn2_[j] = std::min(nn2_[j], d2);
+    });
+    stats_.final_radius = radius;
+    // A neighbor found within the radius is the exact nearest neighbor
+    // (anything closer would also be within the radius); only points that
+    // saw nothing force a wider search.
+    if (std::none_of(nn2_.begin(), nn2_.end(), [](double d2) { return d2 == kInf; })) {
+      break;
     }
-  } else {
-    const double side = box.side();
-    const double r_max = side * std::sqrt(static_cast<double>(D));
-    double radius = std::min(initial_radius(n, side), r_max);
-    for (;;) {
-      ++stats_.rounds;
-      emst_metrics().rounds.increment();
-      grid_.rebuild(points, box, radius);
-      emst_metrics().rebuilds.increment();
-      nn2_.assign(n, kInf);
-      grid_.for_each_pair_within(radius, [this](std::size_t i, std::size_t j, double d2) {
-        nn2_[i] = std::min(nn2_[i], d2);
-        nn2_[j] = std::min(nn2_[j], d2);
-      });
-      stats_.final_radius = radius;
-      // A neighbor found within the radius is the exact nearest neighbor
-      // (anything closer would also be within the radius); only points that
-      // saw nothing force a wider search.
-      if (std::none_of(nn2_.begin(), nn2_.end(), [](double d2) { return d2 == kInf; })) {
-        break;
-      }
-      MANET_INVARIANT(radius < r_max);  // at the diagonal every pair is in range
-      radius = std::min(radius * 2.0, r_max);
-    }
+    MANET_INVARIANT(radius < r_max);  // at the diagonal every pair is in range
+    radius = std::min(radius * 2.0, r_max);
   }
 
   double worst_nn2 = 0.0;

@@ -69,15 +69,6 @@ class EmstEngine {
   /// place the choice is made. Trees always come from the grid.
   static constexpr bool dense_path(std::size_t n) noexcept { return n < kDenseCutoff; }
 
-  /// n below which max_nearest_neighbor_range runs its all-pairs loop
-  /// instead of the grid search; kDenseCutoff governs the MST keys only.
-  /// Timed per call on uniform sets (x86-64, -O3), all-pairs vs grid: D = 1
-  /// 2.9 vs 2.2 µs at n = 48 and 26.4 vs 9.3 µs at n = 128; D = 2 6.7 vs
-  /// 8.5 µs at n = 64 and 27.3 vs 27.9 µs at n = 128; D = 3 27.0 vs 39.7 µs
-  /// at n = 128. No single threshold wins on every D; 32 keeps most of the
-  /// grid's D = 1 advantage.
-  static constexpr std::size_t kNearestNeighborDenseCutoff = 32;
-
   EmstEngine() = default;
   EmstEngine(const EmstEngine&) = delete;
   EmstEngine& operator=(const EmstEngine&) = delete;

@@ -469,8 +469,6 @@ TEST(EmstGrid, NearestNeighborRangeMatchesBruteForce) {
     EmstEngine<2> engine;
     EXPECT_EQ(engine.max_nearest_neighbor_range(points, box), brute_force_isolation(points))
         << "n=" << n;
-    EXPECT_EQ(engine.stats().dense_fallback, n < EmstEngine<2>::kNearestNeighborDenseCutoff)
-        << "n=" << n;
     EXPECT_EQ(isolation_range<2>(points, box), brute_force_isolation(points));
   }
   // Clustered sets: a lone far cluster forces extra doubling rounds in the

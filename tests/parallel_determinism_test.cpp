@@ -1,8 +1,8 @@
 // The parallel engine's headline guarantee, tested adversarially: every
 // simulation result is BIT-IDENTICAL at any thread count — serial (1),
 // 2 threads and 8 threads must agree to the last bit for MTRM, stationary
-// sampling and Monte-Carlo threshold search, because trial substreams are
-// pure functions of (seed, trial index) and reductions run in trial order
+// sampling and the paper simulator, because trial substreams are pure
+// functions of (seed, trial index) and results come back in trial order
 // (support/parallel.hpp). Run under the tsan preset these tests double as
 // the race-detection workload of CI (`MANET_THREADS=8`).
 
@@ -21,7 +21,6 @@
 #include "geometry/box.hpp"
 #include "graph/link_model.hpp"
 #include "sim/stationary_sample.hpp"
-#include "sim/threshold_search.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -165,36 +164,6 @@ TEST(ParallelDeterminism, LinkModelTradeoffIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, McThresholdSearchIsBitIdenticalAcrossThreadCounts) {
-  // The classical simulate-per-candidate-range search: the predicate is the
-  // fraction of random 12-node deployments connected at r.
-  const Box2 box(128.0);
-  BisectionOptions options;
-  options.lo = 0.0;
-  options.hi = 128.0 * 1.5;
-  options.tolerance = 1e-4;
-  McPredicateOptions mc;
-  mc.trials = 48;
-  mc.seed = 4242;
-  mc.target_mean = 0.9;
-  const TrialStatistic connected_indicator = [&box](double range, std::size_t, Rng& rng) {
-    const auto points = uniform_deployment(12, box, rng);
-    return critical_range<2>(points, box) <= range ? 1.0 : 0.0;
-  };
-
-  std::vector<BisectionResult> results;
-  for (std::size_t threads : kThreadCounts) {
-    ScopedThreads scoped(threads);
-    results.push_back(bisect_min_range_mc(options, mc, connected_indicator));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_TRUE(bits_equal(results[0].range, results[i].range))
-        << "range differs at " << kThreadCounts[i] << " threads";
-    EXPECT_EQ(results[0].evaluations, results[i].evaluations)
-        << "evaluation count differs at " << kThreadCounts[i] << " threads";
-  }
-}
-
 TEST(ParallelDeterminism, PaperSimulatorIsBitIdenticalAcrossThreadCounts) {
   PaperSimulatorInput input;
   input.r = 40.0;
@@ -263,14 +232,17 @@ TEST(ParallelContention, ManyTinyTrialsWithThreadsFarAboveCores) {
         << "diverged at " << threads << " threads";
   }
 
-  // Serial fold of an order-sensitive reduction, repeated under stress.
+  // An order-sensitive fold over the slots of a stressed batch is the
+  // serial fold.
   const auto noncommutative = [](double acc, double value) { return acc * 0.5 + value; };
   double serial_fold = 0.0;
   for (double v : expected) serial_fold = noncommutative(serial_fold, v);
   ParallelOptions stress;
   stress.threads = 64;
-  const double parallel_fold =
-      parallel_reduce_trials(trials, seed, tiny_trial, 0.0, noncommutative, stress);
+  double parallel_fold = 0.0;
+  for (double v : parallel_for_trials(trials, seed, tiny_trial, stress)) {
+    parallel_fold = noncommutative(parallel_fold, v);
+  }
   EXPECT_TRUE(bits_equal(serial_fold, parallel_fold));
 }
 

@@ -1,7 +1,6 @@
 // Property tests of the parallel trial engine (support/parallel.hpp):
 // randomized simulation configs across dimension / mobility model / preset
-// scale must produce the exact serial fold at any thread count, arbitrary
-// non-commutative reducers must see the serial evaluation order, and a
+// scale must produce the exact serial fold at any thread count, and a
 // throwing trial must surface the first-by-index exception without
 // deadlocking or poisoning the pool.
 
@@ -137,48 +136,6 @@ TEST(ParallelProperty, MapMatchesSerialReferenceForRandomTrialCounts) {
     EXPECT_TRUE(bit_identical(serial_reference(trials, seed, fn),
                               parallel_for_trials(trials, seed, fn, options)))
         << "round " << round << " trials " << trials << " threads " << options.threads;
-  }
-}
-
-TEST(ParallelProperty, NonCommutativeReducersSeeSerialOrder) {
-  // String concatenation: associative but non-commutative, so any reduction
-  // reordering changes the value.
-  const std::size_t trials = 64;
-  const std::uint64_t seed = 31;
-  const auto label_trial = [](std::size_t trial, Rng& rng) {
-    return std::to_string(trial) + ":" + std::to_string(rng.next_u64() % 100) + ";";
-  };
-  const auto concat = [](std::string acc, std::string part) { return acc + part; };
-
-  std::string serial;
-  for (std::size_t t = 0; t < trials; ++t) {
-    Rng rng = substream(seed, t);
-    serial = concat(serial, label_trial(t, rng));
-  }
-  for (std::size_t threads : {2ul, 8ul, 32ul}) {
-    ParallelOptions options;
-    options.threads = threads;
-    EXPECT_EQ(serial, parallel_reduce_trials(trials, seed, label_trial, std::string(),
-                                             concat, options));
-  }
-
-  // Floating-point accumulation: non-associative, so chunk-local partial
-  // sums would diverge in the last bits; ordered reduction must not.
-  const auto noisy = [](std::size_t trial, Rng& rng) {
-    return (trial % 2 == 0 ? 1e16 : 1e-3) * rng.uniform();
-  };
-  const auto add = [](double acc, double value) { return acc + value; };
-  double serial_sum = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    Rng rng = substream(seed, t);
-    serial_sum = add(serial_sum, noisy(t, rng));
-  }
-  for (std::size_t threads : {2ul, 8ul}) {
-    ParallelOptions options;
-    options.threads = threads;
-    const double parallel_sum =
-        parallel_reduce_trials(trials, seed, noisy, 0.0, add, options);
-    EXPECT_EQ(std::memcmp(&serial_sum, &parallel_sum, sizeof(double)), 0);
   }
 }
 
